@@ -129,10 +129,6 @@ def pmonic(p: Poly) -> Poly:
     return tuple(c / lead for c in p)
 
 
-def pderiv(p: Poly) -> Poly:
-    return pnormalize([i * c for i, c in enumerate(p)][1:])
-
-
 def peval(p: Poly, x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(p):
@@ -162,19 +158,6 @@ def pprimitive(p: Poly) -> Poly:
     if p[-1] < 0:
         cont = -cont
     return tuple(c / cont for c in p)
-
-
-def psquarefree_factors(p: Poly):
-    """Distinct square-free factors of p (Yun-style via repeated gcd)."""
-    factors = []
-    p = pmonic(p)
-    while pdeg(p) > 0:
-        g = pgcd(p, pderiv(p))
-        sqfree = pdivmod(p, g)[0]
-        if pdeg(sqfree) > 0 and sqfree not in factors:
-            factors.append(sqfree)
-        p = g
-    return factors
 
 
 def rational_roots(p: Poly):
@@ -398,19 +381,6 @@ def _coerce(x) -> RatFunc:
 
 RF_ZERO = RatFunc.const(0)
 RF_ONE = RatFunc.const(1)
-
-
-def field_arithmetic(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Named dispatch used by the CLI; op is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise CoefficientError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------

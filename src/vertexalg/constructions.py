@@ -283,27 +283,6 @@ def primary_test(L: Element, a: Element):
     return True, delta
 
 
-def normalize_virasoro(v: Element):
-    """Rescale v to the Virasoro normalization; return (L, c) or None."""
-    P = v.pres
-    br = P.lambda_bracket(v, v)
-    dv = P.derivative(v)
-    c0 = br.c(0)
-    if c0.is_zero() or dv.is_zero():
-        return None
-    mono = next(iter(dv.data))
-    if mono not in c0.data:
-        return None
-    a = c0.data[mono] / dv.data[mono]
-    if c0 != dv * a or not a:
-        return None
-    L = v * (RF_ONE / a)
-    ok, c = virasoro_test(L)
-    if not ok:
-        return None
-    return L, c
-
-
 # ---------------------------------------------------------------------------
 # Embeddings
 
@@ -415,14 +394,6 @@ def sigma_embedding(m: int, param="k") -> EmbeddingImage:
     else:
         emb.level = RF_ONE
     return emb
-
-
-def restrict_image(emb: EmbeddingImage, sub: LiePresentation, coords) -> EmbeddingImage:
-    """Image of a subalgebra given by coordinate vectors in the source basis."""
-    images = [emb.image_of(vec) for vec in coords]
-    out = EmbeddingImage(sub, emb.target, images)
-    out.verify()
-    return out
 
 
 def diagonal_current(images) -> EmbeddingImage:

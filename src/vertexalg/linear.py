@@ -1,8 +1,15 @@
 """Exact linear algebra over the rational-function field.
 
-Weight-graded basis enumeration, torus-charge filtering, a division-free
-elimination that keeps pivot polynomials available for nongeneric-level
-reporting, commutant solves, relation finding, and decoupling analysis.
+Weight-graded basis enumeration, torus-charge filtering, commutant solves,
+relation finding, and decoupling analysis.
+
+One fraction-free elimination over Q(k), PolySystem.eliminate (after
+Bareiss 1968, Math. Comp. 22), serves every parametric solve: the commutant
+kernel, and through solve() the relation, pin and span solves, where the
+right-hand side is one extra column.  It keeps pivot polynomials available
+for nongeneric-level reporting.  SolveReport.rank_at is deliberately a
+separate plain elimination over Q at a fixed level: it is the independent
+certificate for nongeneric levels.
 
 Commutant conditions accept "actions": either a weight-one current (all its
 nonnegative modes must kill the element) or a pair (current, derivation)
@@ -20,7 +27,6 @@ from math import ceil
 from .coefficients import (
     PONE,
     PZERO,
-    Poly,
     RF_ONE,
     RF_ZERO,
     RatFunc,
@@ -29,8 +35,9 @@ from .coefficients import (
     pdivmod,
     pgcd,
     pmul,
-    pnormalize,
+    pneg,
     pprimitive,
+    psub,
     rational_roots,
 )
 from .core import Element, VAError, VAPresentation
@@ -213,46 +220,53 @@ class PolySystem:
                 for c, v in prow.items():
                     t = pmul(entry2, v)
                     cur = new_row.get(c)
-                    new_row[c] = _psub(cur, t) if cur else _pneg(t)
+                    new_row[c] = psub(cur, t) if cur else pneg(t)
                 self.rows[ridx2] = _strip_row({c: v for c, v in new_row.items() if v})
         return len(pivot_rows), pivot_polys, pivot_rows
 
     def kernel(self, pivot_rows):
         """Kernel basis as RatFunc coordinate vectors, one per free column."""
-        pivot_cols = [c for c, _ in pivot_rows]
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        kernel = []
-        for fc in free_cols:
-            x = [RF_ZERO] * self.ncols
-            x[fc] = RF_ONE
-            for col, row in reversed(pivot_rows):
-                total = RF_ZERO
-                for c, v in row.items():
-                    if c > col and x[c]:
-                        total = total + RatFunc(v, PONE, _reduced=True) * x[c]
-                if total:
-                    x[col] = -total / RatFunc(row[col], PONE, _reduced=True)
-            kernel.append(x)
-        return kernel
+        pivot_set = {c for c, _ in pivot_rows}
+        return [
+            self._kernel_vector(pivot_rows, fc)
+            for fc in range(self.ncols)
+            if fc not in pivot_set
+        ]
+
+    def _kernel_vector(self, pivot_rows, free_col):
+        """Back-substitution: the kernel vector that is one at free_col and
+        zero at every other free column."""
+        x = [RF_ZERO] * self.ncols
+        x[free_col] = RF_ONE
+        for col, row in reversed(pivot_rows):
+            total = RF_ZERO
+            for c, v in row.items():
+                if c > col and x[c]:
+                    total = total + RatFunc(v, PONE, _reduced=True) * x[c]
+            if total:
+                x[col] = -total / RatFunc(row[col], PONE, _reduced=True)
+        return x
 
 
-def _pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
+def solve(rows, rhs, ncols):
+    """Solve rows * x = rhs over the function field by one elimination.
 
-
-def _psub(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        out = list(q)
-        for i in range(len(out)):
-            out[i] = -out[i]
-        for i, c in enumerate(p):
-            out[i] += c
-        return pnormalize(out)
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] -= c
-    return pnormalize(out)
+    rows are dicts col -> RatFunc and rhs is a list of RatFunc, one per row.
+    The right-hand side enters as the extra column -rhs, so x is the kernel
+    vector that is one at that column.  Returns (x, rank of rows, rank of
+    [rows | rhs]); x is None when the system is inconsistent, and zero at
+    the free columns otherwise.
+    """
+    system = PolySystem(ncols + 1)
+    for row, b in zip(rows, rhs):
+        entries = dict(row)
+        if b:
+            entries[ncols] = -b
+        system.add_row(entries)
+    rank, _, pivot_rows = system.eliminate()
+    if pivot_rows and pivot_rows[-1][0] == ncols:
+        return None, rank - 1, rank
+    return system._kernel_vector(pivot_rows, ncols)[:ncols], rank, rank
 
 
 def _strip_row(row: dict) -> dict:
@@ -504,10 +518,10 @@ def invariant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
     w = Fraction(w)
     if basis is None:
         basis = weight_basis(P, w)
-    actions = [a if not isinstance(a, Element) else (a, None) for a in actions]
-    zero_mode_actions = []
-    for current, derivation in actions:
-        zero_mode_actions.append((None, _zero_mode_as_derivation(P, current, derivation)))
+    zero_mode_actions = [
+        (None, _zero_mode_as_derivation(P, current, derivation))
+        for current, derivation in _normalize_actions(actions)
+    ]
     return commutant_basis(P, zero_mode_actions, w, basis)
 
 
@@ -709,8 +723,7 @@ def find_relation(P: VAPresentation, target: Element, gens, w=None):
     if P.weight_of(target) != w:
         raise LinearError("target weight mismatch")
     words = enumerate_words(P, gens, w)
-    basis = weight_basis(P, w)
-    # solve [words] x = target by elimination over the function field
+    # solve [words] x = target over the function field
     cols = len(words)
     rows = {}
     for ci, (_, elem) in enumerate(words):
@@ -726,14 +739,8 @@ def find_relation(P: VAPresentation, target: Element, gens, w=None):
     for M in ordered:
         mat.append(rows[M])
         rhs.append(target_col.get(M, RF_ZERO))
-    sol = _solve_ratfunc(mat, rhs, cols)
+    sol, words_rank, combined_rank = solve(mat, rhs, cols)
     if sol is None:
-        words_rank = _ratfunc_rank(mat, cols)
-        combined = [dict(r) for r in mat]
-        for i, r in enumerate(combined):
-            if rhs[i]:
-                r[cols] = rhs[i]
-        combined_rank = _ratfunc_rank(combined, cols + 1)
         return Obstruction(w, words_rank, combined_rank)
     # clear denominators into a primitive polynomial multiplier
     den = PONE
@@ -751,73 +758,6 @@ def find_relation(P: VAPresentation, target: Element, gens, w=None):
             combination = combination + elem * c
             word_coeffs[label] = c
     return Relation(target, multiplier, combination, word_coeffs)
-
-
-def _solve_ratfunc(rows, rhs, ncols):
-    """Solve rows * x = rhs over RatFunc; None if inconsistent."""
-    rows = [dict(r) for r in rows]
-    rhs = list(rhs)
-    pivots = []
-    used = set()
-    row_order = list(range(len(rows)))
-    for col in range(ncols):
-        piv = None
-        for i in row_order:
-            if i not in used and rows[i].get(col):
-                piv = i
-                break
-        if piv is None:
-            continue
-        used.add(piv)
-        pivots.append((col, piv))
-        pval = rows[piv][col]
-        for i in row_order:
-            if i == piv:
-                continue
-            ev = rows[i].get(col)
-            if ev:
-                f = ev / pval
-                for c, v in rows[piv].items():
-                    nv = rows[i].get(c, RF_ZERO) - f * v
-                    if nv:
-                        rows[i][c] = nv
-                    else:
-                        rows[i].pop(c, None)
-                rhs[i] = rhs[i] - f * rhs[piv]
-    for i in row_order:
-        if i not in used and rhs[i]:
-            return None
-    x = [RF_ZERO] * ncols
-    for col, piv in pivots:
-        x[col] = rhs[piv] / rows[piv][col]
-    return x
-
-
-def _ratfunc_rank(rows, ncols) -> int:
-    rows = [dict(r) for r in rows]
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i, r in enumerate(rows):
-            if r.get(col):
-                piv = i
-                break
-        if piv is None:
-            continue
-        prow = rows.pop(piv)
-        rank += 1
-        pval = prow[col]
-        for r in rows:
-            ev = r.get(col)
-            if ev:
-                f = ev / pval
-                for c, v in prow.items():
-                    nv = r.get(c, RF_ZERO) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +808,7 @@ def pin_commutant_element(report: SolveReport, shape: dict) -> Element:
     for M, value in shape.items():
         rows.append({i: v.coeff(tuple(M)) for i, v in enumerate(kers)})
         rhs.append(value if isinstance(value, RatFunc) else RatFunc.const(value))
-    sol = _solve_ratfunc(rows, rhs, len(kers))
+    sol = solve(rows, rhs, len(kers))[0]
     if sol is None:
         raise LinearError("shape constraints are inconsistent with the kernel")
     out = report.pres.zero()

@@ -10,7 +10,6 @@ from vertexalg.coefficients import (
     EvaluationAtPole,
     RatFunc,
     ZeroDenominator,
-    field_arithmetic,
     format_ratfunc,
     parse_poly,
     parse_ratfunc,
@@ -26,7 +25,7 @@ def rf(text):
 
 def test_lambda2_literal():
     # the weight-4 decoupling multiplier of the osp coset, used as a literal
-    lam2 = field_arithmetic(-(K + 4), K + RatFunc.const(Fraction(3, 2)), "div")
+    lam2 = -(K + 4) / (K + RatFunc.const(Fraction(3, 2)))
     assert str(lam2) == "(-1*k - 4)/(k + 3/2)"
     assert lam2 == rf("(-1*k - 4)/(k + 3/2)")
 
@@ -46,7 +45,7 @@ def test_gcd_canonicalization():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDenominator):
-        field_arithmetic(K, RatFunc.const(0), "div")
+        K / RatFunc.const(0)
 
 
 def test_evaluate():

@@ -13,6 +13,7 @@ from vertexalg.constructions import (
     heisenberg,
     heisenberg_pairs,
     n2_coset_generators,
+    odd_pair_shape,
     osp_coset_virasoro,
     parafermion_sl3_generators,
     symplectic_fermion,
@@ -33,6 +34,8 @@ from vertexalg.linear import (
     graded_dimensions,
     invariant_basis,
     nongeneric_levels,
+    pin_commutant_element,
+    solve,
     verify_commutant,
     verify_invariant,
     weight_basis,
@@ -256,7 +259,32 @@ def test_find_relation_obstruction():
     target = H.gen(0, 1)  # d(a) is not a word in :aa:
     rel = find_relation(H, target, [H.gen(0).no(H.gen(0))], 2)
     assert isinstance(rel, Obstruction)
-    assert rel.combined_rank > rel.words_rank
+    assert (rel.words_rank, rel.combined_rank) == (1, 2)
+
+
+def test_find_relation_dependent_word_columns():
+    # repeating L doubles every word, so half the word columns are free;
+    # the relation must be the one found without the repeat
+    P = affine(builtin_lie("osp(1|2)"), K)
+    currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
+    L = osp_coset_virasoro(P)
+    target = pin_commutant_element(
+        commutant_basis(P, currents, 4), odd_pair_shape(P, "phip", "phim", 1)
+    )
+    single = find_relation(P, target, [L], 4)
+    double = find_relation(P, target, [L, L], 4)
+    assert isinstance(double, Relation) and double.verify()
+    assert double.multiplier == single.multiplier == K + 4
+    assert double.word_coeffs == single.word_coeffs
+
+
+def test_solve_free_column_and_inconsistency():
+    # x0 + k x1 = k + 1 with x1 free: x = (k + 1, 0), ranks 1 and 1
+    x, rank, combined = solve([{0: RF_ONE, 1: K}], [K + 1], 2)
+    assert x == [K + 1, RatFunc.const(0)] and (rank, combined) == (1, 1)
+    # x0 = 1 and k x0 = 1 disagree for generic k
+    x, rank, combined = solve([{0: RF_ONE}, {0: K}], [RF_ONE, RF_ONE], 1)
+    assert x is None and (rank, combined) == (1, 2)
 
 
 def test_nongeneric_parafermion():
@@ -322,6 +350,11 @@ def test_enumerate_words_weight6_virasoro():
     L = osp_coset_virasoro(P)
     words = enumerate_words(P, [L], 6)
     assert len(words) == 4  # :LLL:, :L d^2 L:, :dL dL:, d^4 L
+
+
+def test_invariant_basis_rejects_empty_action():
+    with pytest.raises(LinearError):
+        invariant_basis(heisenberg(1), [(None, None)], 2)
 
 
 def test_invariance_vs_commutant():
