@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 Rational = Fraction
 
@@ -166,7 +167,8 @@ def rational_roots(p: Poly):
     Returns (roots, cofactor) where roots is a dict Fraction -> multiplicity
     and cofactor is the monic polynomial left after dividing the roots out.
     The cofactor has no rational roots; no further factorization over Q is
-    attempted.
+    attempted.  The cost is polynomial in the degree and in the bit length
+    of the coefficients (see _rational_real_roots).
     """
     if not p:
         raise CoefficientError("rational_roots of the zero polynomial")
@@ -179,53 +181,59 @@ def rational_roots(p: Poly):
         roots[Fraction(0)] = low
         p = p[low:]
     # clear to integer coefficients
-    den = 1
-    for c in p:
-        den = den * c.denominator // __import__("math").gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p))
     ip = [int(c * den) for c in p]
-    while len(ip) > 1:
-        a0, ad = ip[0], ip[-1]
-        found = None
-        for r in _divisors(abs(a0)):
-            for s in _divisors(abs(ad)):
-                for cand in (Fraction(r, s), Fraction(-r, s)):
-                    if _ieval(ip, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        ip = _ideflate(ip, found)
-        while len(ip) > 1 and ip[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            ip = ip[1:]
+    if len(ip) > 1:
+        for root in _rational_real_roots(ip):
+            while len(ip) > 1 and peval(ip, root) == 0:
+                roots[root] = roots.get(root, 0) + 1
+                ip = _ideflate(ip, root)
     cofactor = pmonic(pnormalize([Fraction(c) for c in ip]))
     return roots, cofactor
 
 
-def _divisors(n: int):
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _rational_real_roots(ip):
+    """Distinct rational roots of a nonconstant integer polynomial.
 
+    Exact real-root isolation of the squarefree part f by bisection with a
+    Sturm sequence (as Collins and Akritas 1976 bisect with Descartes' rule):
+    V(a) - V(b) sign changes count the roots in (a, b].  A rational root r/s
+    of f has s dividing its leading coefficient a, and two such fractions lie
+    at least 1/a^2 apart, so once an interval holding one root is narrower
+    than 1/(2 a^2) the root is its midpoint's nearest fraction with
+    denominator at most |a|.  Each candidate is kept only if f vanishes on it
+    exactly.
+    """
+    p = tuple(Fraction(c) for c in ip)
+    deriv = tuple(i * c for i, c in enumerate(p))[1:]
+    f = pprimitive(pdivmod(p, pgcd(p, deriv))[0])
+    lead = int(f[-1])
+    sturm = [f, tuple(i * c for i, c in enumerate(f))[1:]]
+    while pdeg(sturm[-1]) > 0:
+        rem = pdivmod(sturm[-2], sturm[-1])[1]
+        sturm.append(tuple(-c / pcontent(rem) for c in rem))
 
-def _ieval(ip, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ip):
-        acc = acc * x + c
-    return acc
+    def changes(x):
+        signs = [v > 0 for v in (peval(q, x) for q in sturm) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in f) / lead  # every root lies in (-bound, bound)
+    width = Fraction(1, 2 * lead * lead)
+    found = []
+    intervals = [(-bound, bound, changes(-bound), changes(bound))]
+    while intervals:
+        a, b, va, vb = intervals.pop()
+        if va == vb:
+            continue
+        mid = (a + b) / 2
+        if va - vb == 1 and b - a < width:
+            candidate = mid.limit_denominator(lead)
+            if peval(f, candidate) == 0:
+                found.append(candidate)
+            continue
+        vm = changes(mid)
+        intervals += [(a, mid, va, vm), (mid, b, vm, vb)]
+    return sorted(found)
 
 
 def _ideflate(ip, root: Fraction):

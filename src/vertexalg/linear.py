@@ -269,6 +269,23 @@ def solve(rows, rhs, ncols):
     return system._kernel_vector(pivot_rows, ncols)[:ncols], rank, rank
 
 
+def solve_span(columns, target):
+    """Solve sum_i x_i columns[i] = target for elements over the function field.
+
+    One row per monomial of the columns and the target, in sorted order;
+    returns solve()'s (x, rank of the columns, rank with the target).
+    """
+    rows = {}
+    for ci, elem in enumerate(columns):
+        for M, c in elem.data.items():
+            rows.setdefault(M, {})[ci] = c
+    for M in target.data:
+        rows.setdefault(M, {})
+    ordered = sorted(rows)
+    rhs = [target.data.get(M, RF_ZERO) for M in ordered]
+    return solve([rows[M] for M in ordered], rhs, len(columns))
+
+
 def _strip_row(row: dict) -> dict:
     """Remove the polynomial and rational content of a row."""
     if not row:
@@ -474,18 +491,16 @@ def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
 
 
 def verify_commutant(P: VAPresentation, v: Element, actions) -> bool:
-    """Re-check the commutant conditions directly on an assembled element."""
+    """Re-check the commutant conditions directly on an assembled element:
+    the zero-mode conditions of verify_invariant, and every mode n >= 1 of
+    each current kills v."""
+    if not verify_invariant(P, v, actions):
+        return False
     if v.is_zero():
         return True
-    actions = _normalize_actions(actions)
     w = P.weight_of(v)
     nmax = int(ceil(w)) if w > 0 else 0
-    for current, derivation in actions:
-        image = P.nprod(current, v, 0) if current is not None else P.zero()
-        if derivation is not None:
-            image = image + apply_derivation(P, derivation, v)
-        if not image.is_zero():
-            return False
+    for current, _ in _normalize_actions(actions):
         if current is None:
             continue
         for n in range(1, nmax + 2):
@@ -719,27 +734,15 @@ def find_relation(P: VAPresentation, target: Element, gens, w=None):
     """
     if w is None:
         w = P.weight_of(target)
+    return _relation(P, target, enumerate_words(P, gens, w), w)
+
+
+def _relation(P: VAPresentation, target: Element, words, w):
+    """find_relation on the already enumerated weight-w words."""
     w = Fraction(w)
     if P.weight_of(target) != w:
         raise LinearError("target weight mismatch")
-    words = enumerate_words(P, gens, w)
-    # solve [words] x = target over the function field
-    cols = len(words)
-    rows = {}
-    for ci, (_, elem) in enumerate(words):
-        for M, c in elem.data.items():
-            rows.setdefault(M, {})[ci] = c
-    target_col = {}
-    for M, c in target.data.items():
-        rows.setdefault(M, {})
-        target_col[M] = c
-    ordered = sorted(rows)
-    mat = []
-    rhs = []
-    for M in ordered:
-        mat.append(rows[M])
-        rhs.append(target_col.get(M, RF_ZERO))
-    sol, words_rank, combined_rank = solve(mat, rhs, cols)
+    sol, words_rank, combined_rank = solve_span([e for _, e in words], target)
     if sol is None:
         return Obstruction(w, words_rank, combined_rank)
     # clear denominators into a primitive polynomial multiplier
@@ -861,7 +864,7 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
             f"commutant dimension {com.kernel_dim} exceeds word count "
             f"{expected}; no decoupling relation can exist"
         )
-    rel = find_relation(P, target, gens, w)
+    rel = _relation(P, target, words, w)
     if isinstance(rel, Obstruction):
         raise LinearError(
             f"target not in the span of words: ranks {rel.words_rank} vs "

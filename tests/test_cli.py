@@ -127,8 +127,8 @@ def test_cli_suite_exit_code(capsys):
     capsys.readouterr()
 
 
-def test_suite_determinism():
-    a = run_suite("parafermion-sl2").serialize(with_timing=False)
+def test_suite_determinism(suite_report):
+    a = suite_report("parafermion-sl2")[0].serialize(with_timing=False)
     b = run_suite("parafermion-sl2").serialize(with_timing=False)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(k): canonical forms, evaluation, limits, roots."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,24 @@ def test_rational_roots():
     assert cofactor == parse_poly("k^2 - 2")
     with pytest.raises(Exception):
         rational_roots(())
+
+
+def test_rational_roots_large_constant_term():
+    # trial division of the constant term would take hours at 21 digits
+    cases = [
+        ("7*k^3 + k + 300000000000000000000", {},
+         "k^3 + 1/7*k + 300000000000000000000/7"),
+        ("(3*k - 100000000000000000007)*(k^2 + 1)",
+         {Fraction(100000000000000000007, 3): 1}, "k^2 + 1"),
+        ("(k - 10000000000)^2*(2*k + 3)",
+         {Fraction(10000000000): 2, Fraction(-3, 2): 1}, "1"),
+    ]
+    for text, want_roots, want_cofactor in cases:
+        t0 = time.perf_counter()
+        roots, cofactor = rational_roots(parse_poly(text))
+        assert time.perf_counter() - t0 < 1, text
+        assert roots == want_roots, text
+        assert cofactor == parse_poly(want_cofactor), text
 
 
 def test_round_trip_printing():

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from vertexalg.coefficients import PONE, RF_ONE, RatFunc, pdivmod, pmul, pprimitive
+from vertexalg.coefficients import RF_ONE, RatFunc, pdivmod, pmul, pprimitive
 from vertexalg.constructions import (
     affine,
     bc_system,
-    beta_gamma,
     heisenberg,
     heisenberg_pairs,
     n2_coset_generators,
@@ -220,7 +219,7 @@ def test_pivot_divides_maximal_minor():
 
 
 def _det3(m):
-    from vertexalg.coefficients import padd, pneg, psub
+    from vertexalg.coefficients import padd, psub
 
     def mul(a, b):
         return pmul(a, b)
@@ -343,6 +342,21 @@ def test_decoupling_dimension_hypothesis_error():
     w2 = commutant_basis(P, [H], 2).kernel_elements()[0]
     with pytest.raises(LinearError):
         decoupling_multiplier(P, [H], [w2], 3, target=commutant_basis(P, [H], 3).kernel_elements()[0])
+
+
+def test_decoupling_charge_filter_is_exact():
+    # kernel elements have H-charge 0, so restricting the weight-4 solve to
+    # that subspace must not change the report; the osp-coset suite relies
+    # on this at weight 6
+    P = affine(builtin_lie("osp(1|2)"), K)
+    currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
+    L = osp_coset_virasoro(P)
+    shape = odd_pair_shape(P, "phip", "phim", 1)
+    full = decoupling_multiplier(P, currents, [L], 4, target_shape=shape)
+    filtered = decoupling_multiplier(P, currents, [L], 4, target_shape=shape,
+                                     charge_currents=[P.gen("H")])
+    assert filtered.serialize() == full.serialize()
+    assert full.serialize()["multiplier_roots"] == {"-4": 1}
 
 
 def test_enumerate_words_weight6_virasoro():

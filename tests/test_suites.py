@@ -6,8 +6,8 @@ from vertexalg.suites import SUITES, run_suite
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_suite_passes(name):
-    report = run_suite(name)
+def test_suite_passes(name, suite_report):
+    report, _ = suite_report(name)
     failures = [(n, d) for n, s, d, _ in report.checks if s == "fail"]
     assert report.passed, failures
 
