@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .coefficients import CoefficientError
 from .core import VAError
-from .deffiles import DefinitionError, build_algebra, load_definition
+from .deffiles import CONSTRUCTOR_SPECS, DefinitionError, build_algebra, load_definition
 from .expressions import format_element, parse_element
+from .lie import LieError, builtin_names
 from .linear import (
     commutant_basis,
     find_relation,
@@ -197,12 +198,8 @@ def cmd_suite(args) -> int:
 def cmd_list(args) -> int:
     payload = {
         "suites": sorted(SUITES),
-        "constructors": [
-            "affine:<lie>@<level>", "heisenberg:<n>", "freefermion:<n>",
-            "bc:<n>", "betagamma:<n>", "sympfermion:<n>", "hpairs:<n>",
-            "tau:<n>", "sigma:<m>",
-        ],
-        "builtin_lie": __import__("vertexalg.lie", fromlist=["builtin_names"]).builtin_names(),
+        "constructors": list(CONSTRUCTOR_SPECS),
+        "builtin_lie": builtin_names(),
     }
     lines = ["suites: " + ", ".join(sorted(SUITES))]
     lines.append("constructors: " + ", ".join(payload["constructors"]))
@@ -273,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .lie import LieError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -53,6 +53,8 @@ def pnormalize(coeffs) -> Poly:
 
 
 def pconst(c) -> Poly:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {c!r}")
     c = Fraction(c)
     return (c,) if c else PZERO
 
@@ -115,10 +117,7 @@ def pgcd(p: Poly, q: Poly) -> Poly:
     """Monic gcd by Euclid's algorithm."""
     while q:
         p, q = q, pdivmod(p, q)[1]
-    if not p:
-        return PZERO
-    lead = p[-1]
-    return tuple(c / lead for c in p)
+    return pmonic(p)
 
 
 def pmonic(p: Poly) -> Poly:
@@ -137,18 +136,23 @@ def peval(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def pcontent(p: Poly) -> Fraction:
-    """Positive rational content; content of zero is 0."""
-    if not p:
-        return Fraction(0)
-    from math import gcd
-
+def pcontent(coeffs) -> Fraction:
+    """Positive rational content of a polynomial, or of any iterable of
+    coefficients (such as all entries of a row); content of zero is 0."""
     num = 0
     den = 1
-    for c in p:
+    for c in coeffs:
         num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(den, c.denominator)
     return Fraction(num, den)
+
+
+def plcm(polys) -> Poly:
+    """Monic least common multiple; the lcm of no polynomials is 1."""
+    out = PONE
+    for p in polys:
+        out = pdivmod(pmul(out, p), pgcd(out, p))[0]
+    return out
 
 
 def pprimitive(p: Poly) -> Poly:
@@ -180,20 +184,20 @@ def rational_roots(p: Poly):
     if low:
         roots[Fraction(0)] = low
         p = p[low:]
-    # clear to integer coefficients
+    # clear to integer coefficients, kept as Fractions so division stays exact
     den = lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
+    ip = tuple(c * den for c in p)
     if len(ip) > 1:
         for root in _rational_real_roots(ip):
             while len(ip) > 1 and peval(ip, root) == 0:
                 roots[root] = roots.get(root, 0) + 1
-                ip = _ideflate(ip, root)
-    cofactor = pmonic(pnormalize([Fraction(c) for c in ip]))
-    return roots, cofactor
+                ip = pdivmod(ip, (-root, Fraction(1)))[0]
+    return roots, pmonic(ip)
 
 
-def _rational_real_roots(ip):
-    """Distinct rational roots of a nonconstant integer polynomial.
+def _rational_real_roots(p):
+    """Distinct rational roots of a nonconstant polynomial with integer
+    (Fraction) coefficients.
 
     Exact real-root isolation of the squarefree part f by bisection with a
     Sturm sequence (as Collins and Akritas 1976 bisect with Descartes' rule):
@@ -204,14 +208,14 @@ def _rational_real_roots(ip):
     denominator at most |a|.  Each candidate is kept only if f vanishes on it
     exactly.
     """
-    p = tuple(Fraction(c) for c in ip)
     deriv = tuple(i * c for i, c in enumerate(p))[1:]
     f = pprimitive(pdivmod(p, pgcd(p, deriv))[0])
     lead = int(f[-1])
     sturm = [f, tuple(i * c for i, c in enumerate(f))[1:]]
     while pdeg(sturm[-1]) > 0:
         rem = pdivmod(sturm[-2], sturm[-1])[1]
-        sturm.append(tuple(-c / pcontent(rem) for c in rem))
+        cont = pcontent(rem)
+        sturm.append(tuple(-c / cont for c in rem))
 
     def changes(x):
         signs = [v > 0 for v in (peval(q, x) for q in sturm) if v]
@@ -234,16 +238,6 @@ def _rational_real_roots(ip):
         vm = changes(mid)
         intervals += [(a, mid, va, vm), (mid, b, vm, vb)]
     return sorted(found)
-
-
-def _ideflate(ip, root: Fraction):
-    # synthetic division by (t - root); remainder is known to vanish
-    out = [Fraction(0)] * (len(ip) - 1)
-    carry = Fraction(0)
-    for i in range(len(ip) - 1, 0, -1):
-        carry = carry * root + ip[i]
-        out[i - 1] = carry
-    return [c for c in out]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +300,7 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_ratfunc(other)
         if self.den == PONE and other.den == PONE:
             return RatFunc(padd(self.num, other.num), PONE)
         num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
@@ -318,13 +312,13 @@ class RatFunc:
         return RatFunc(pneg(self.num), self.den, _reduced=True)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_ratfunc(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return as_ratfunc(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_ratfunc(other)
         if not self.num or not other.num:
             return RF_ZERO
         if self.den == PONE and other.den == PONE:
@@ -336,13 +330,13 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = as_ratfunc(other)
         if not other.num:
             raise ZeroDenominator("division by zero rational function")
         return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return as_ratfunc(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -379,12 +373,12 @@ class RatFunc:
     __repr__ = __str__
 
 
-def _coerce(x) -> RatFunc:
+def as_ratfunc(x) -> RatFunc:
+    """The one scalar coercion into Q(t): a RatFunc, or an exact int or
+    Fraction constant.  Anything else, floats included, raises TypeError."""
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x)
-    raise TypeError(f"cannot coerce {x!r} to RatFunc")
+    return RatFunc.const(x)
 
 
 RF_ZERO = RatFunc.const(0)
@@ -444,7 +438,10 @@ def _tokenize_poly(text: str):
             break
         pos = m.end()
         if m.group("num"):
-            out.append(("num", Fraction(m.group("num"))))
+            try:
+                out.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise ZeroDenominator(f"zero denominator in {m.group('num')!r}") from None
         elif m.group("name"):
             out.append(("name", m.group("name")))
         else:
@@ -503,6 +500,8 @@ class _PolyParser:
                 kind2, val2 = self.take()
                 if kind2 != "num":
                     raise CoefficientError("polynomial division only by numbers")
+                if not val2:
+                    raise ZeroDenominator("polynomial division by zero")
                 acc = pscale(acc, Fraction(1, 1) / val2)
             else:
                 return acc

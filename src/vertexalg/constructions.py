@@ -14,6 +14,8 @@ from .coefficients import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    as_ratfunc,
+    parse_ratfunc,
 )
 from .core import EVEN, ODD, Element, Generator, VAError, VAPresentation
 from .lie import LiePresentation, builtin_lie
@@ -33,12 +35,8 @@ def _check_rank(n: int):
 
 
 def _vac(c) -> dict:
-    c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+    c = as_ratfunc(c)
     return {(): c} if c else {}
-
-
-def _gen_mono(i: int, d: int = 0) -> dict:
-    return {((i, d),): RF_ONE}
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +171,9 @@ def trivial(param="k") -> VAPresentation:
 def affine(lie: LiePresentation, level, param="k", name=None) -> VAPresentation:
     """V_level(g, B): one weight-1 generator per basis vector of g."""
     if isinstance(level, str):
-        from .coefficients import parse_ratfunc
-
         level = parse_ratfunc(level, param)
-    elif not isinstance(level, RatFunc):
-        level = RatFunc.const(level)
+    else:
+        level = as_ratfunc(level)
     gens = [
         Generator(i, lie.names[i], lie.parities[i], 1) for i in range(lie.dim)
     ]
@@ -788,11 +784,9 @@ def named_generators(family: str, **params):
         out += [fns["cbar"](0, j, k) for j in range(3) for k in range(3)]
         return H6, out
     if family == "n2_generators":
-        from .lie import builtin_lie as _bl
-
-        P = params.get("presentation") or affine(_bl("sl2"), RatFunc.param()).tensor(
-            bc_system(1)
-        )
+        P = params.get("presentation") or affine(
+            builtin_lie("sl2"), RatFunc.param()
+        ).tensor(bc_system(1))
         gens = n2_coset_generators(P)
         return P, [gens["F"], gens["L"], gens["Gp"], gens["Gm"]]
     raise ConstructionError(f"unknown named family {family!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .coefficients import RF_ONE, RF_ZERO, RatFunc
+from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
 EVEN, ODD = 0, 1
 
@@ -54,10 +54,6 @@ class Generator:
 
     def __repr__(self):
         return f"Generator({self.index}, {self.name!r})"
-
-
-def _fact(n: int) -> Fraction:
-    return Fraction(factorial(n))
 
 
 class VAPresentation:
@@ -115,7 +111,7 @@ class VAPresentation:
         return Element(self, {})
 
     def vacuum(self, coeff=RF_ONE) -> "Element":
-        coeff = _as_rf(coeff)
+        coeff = as_ratfunc(coeff)
         return Element(self, {(): coeff} if coeff else {})
 
     def gen(self, name, der=0) -> "Element":
@@ -130,7 +126,7 @@ class VAPresentation:
     def element(self, data) -> "Element":
         out = {}
         for M, c in data.items():
-            c = _as_rf(c)
+            c = as_ratfunc(c)
             if c:
                 out[tuple(M)] = c
         return Element(self, out)
@@ -515,21 +511,14 @@ class VAPresentation:
         }
         return Element(self, data)
 
-    def transfer(self, x: "Element", mapper=None) -> "Element":
+    def transfer(self, x: "Element") -> "Element":
         """Reinterpret monomials of an element from a parallel presentation.
 
-        The source must have the same number of generators in the same order;
-        coefficients may optionally be transformed by mapper(coeff).
+        The source must have the same number of generators in the same order.
         """
         if len(x.pres.generators) != self.ngen:
             raise MixedPresentationError("generator count mismatch")
-        out = {}
-        for M, c in x.data.items():
-            if mapper is not None:
-                c = mapper(c)
-            if c:
-                out[M] = c
-        return Element(self, out)
+        return Element(self, {M: c for M, c in x.data.items() if c})
 
 
 def _is_canonical(factors, pres) -> bool:
@@ -539,12 +528,6 @@ def _is_canonical(factors, pres) -> bool:
         if a == b and pres.gen_parity(a[0]):
             return False
     return True
-
-
-def _as_rf(c) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    return RatFunc.const(c)
 
 
 def _add_data(acc: dict, data: dict, scale: RatFunc):
@@ -602,7 +585,7 @@ class Element:
         return Element(self.pres, {M: -c for M, c in self.data.items()})
 
     def __mul__(self, scalar):
-        return Element(self.pres, _scaled(self.data, _as_rf(scalar)))
+        return Element(self.pres, _scaled(self.data, as_ratfunc(scalar)))
 
     __rmul__ = __mul__
 

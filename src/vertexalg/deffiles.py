@@ -4,8 +4,8 @@ A definition file is a single JSON document with optional sections:
 
     "lie":      one presentation or a list: {"name", "basis", "constants",
                 "form"} with basis entries [name, "even"|"odd"], constants
-                as triples [i, j, [[m, "p/q"], ...]], form a matrix of
-                "p/q" strings,
+                as triples [i, j, [[m, value], ...]], form a matrix of
+                values; a value is an int or a "p/q" string, never a float,
     "algebra":  a constructor spec string (see below),
     "currents": {"name": expression, ...},
     "elements": {"name": expression, ...}.
@@ -17,7 +17,6 @@ Constructor specs name built-in families with parameters, e.g.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .coefficients import parse_ratfunc
 from .constructions import (
@@ -40,22 +39,34 @@ class DefinitionError(VAError):
     pass
 
 
-def parse_lie_section(doc: dict) -> LiePresentation:
-    try:
-        basis = [(entry[0], entry[1]) for entry in doc["basis"]]
-        constants = [
-            (int(i), int(j), [(int(m), Fraction(v)) for m, v in pairs])
-            for i, j, pairs in doc.get("constants", [])
-        ]
-        form = [[Fraction(v) for v in row] for row in doc["form"]]
-    except (KeyError, IndexError, ValueError) as exc:
-        raise DefinitionError(f"malformed lie section: {exc}") from exc
-    return lie_from_constants(
-        basis,
-        [(i, j, pairs) for i, j, pairs in constants],
-        form,
-        name=doc.get("name", "lie"),
+def _lists(value, size=None) -> bool:
+    """A list of lists, each of the given length when one is given."""
+    return isinstance(value, list) and all(
+        isinstance(v, list) and size in (None, len(v)) for v in value
     )
+
+
+def parse_lie_section(doc) -> LiePresentation:
+    """One "lie" entry; its shape is checked here, its numbers, parities and
+    axioms by lie_from_constants."""
+    if not isinstance(doc, dict):
+        raise DefinitionError('"lie" must be an object or a list of objects')
+    name = doc.get("name", "lie")
+    if not isinstance(name, str):
+        raise DefinitionError('a lie "name" must be a string')
+    constants = doc.get("constants", [])
+    if not _lists(doc.get("basis"), 2):
+        raise DefinitionError(f'lie {name!r}: "basis" must be a list of [name, parity]')
+    if not (_lists(constants, 3) and all(_lists(c[2], 2) for c in constants)):
+        raise DefinitionError(
+            f'lie {name!r}: "constants" must be a list of [i, j, [[m, value], ...]]'
+        )
+    if not _lists(doc.get("form")):
+        raise DefinitionError(f'lie {name!r}: "form" must be a list of rows')
+    try:
+        return lie_from_constants(doc["basis"], constants, doc["form"], name=name)
+    except LieError as exc:
+        raise DefinitionError(f"lie {name!r}: {exc}") from exc
 
 
 _RANK_BUILDERS = {
@@ -66,6 +77,13 @@ _RANK_BUILDERS = {
     "sympfermion": symplectic_fermion,
     "hpairs": heisenberg_pairs,
 }
+
+# every constructor spec head that _build_atom dispatches on
+CONSTRUCTOR_SPECS = (
+    ("affine:<lie>@<level>",)
+    + tuple(f"{head}:<n>" for head in _RANK_BUILDERS)
+    + ("tau:<n>", "sigma:<m>")
+)
 
 
 def build_algebra(spec: str, lie_table=None, param="k") -> VAPresentation:
@@ -130,24 +148,25 @@ def load_definition(path_or_doc) -> Definition:
             doc = json.load(fh)
     else:
         doc = path_or_doc
+    if not isinstance(doc, dict):
+        raise DefinitionError("a definition must be a JSON object")
+    lie_section = doc.get("lie", [])
+    if not isinstance(lie_section, list):
+        lie_section = [lie_section]
     lie_table = {}
-    lie_section = doc.get("lie")
-    if lie_section:
-        if isinstance(lie_section, dict):
-            lie_section = [lie_section]
-        for entry in lie_section:
-            lp = parse_lie_section(entry)
-            lie_table[lp.name] = lp
+    for entry in lie_section:
+        lp = parse_lie_section(entry)
+        lie_table[lp.name] = lp
     spec = doc.get("algebra")
-    if not spec:
-        raise DefinitionError('definition file needs an "algebra" section')
     if isinstance(spec, dict):
-        spec = spec.get("spec", "")
+        spec = spec.get("spec")
+    if not spec or not isinstance(spec, str):
+        raise DefinitionError('definition needs an "algebra" constructor spec string')
     algebra = build_algebra(spec, lie_table)
-    currents = {}
-    for name, text in (doc.get("currents") or {}).items():
-        currents[name] = parse_element(algebra, text)
-    elements = {}
-    for name, text in (doc.get("elements") or {}).items():
-        elements[name] = parse_element(algebra, text)
-    return Definition(algebra, lie_table, currents, elements)
+    named = []
+    for field in ("currents", "elements"):
+        texts = doc.get(field, {})
+        if not (isinstance(texts, dict) and all(isinstance(t, str) for t in texts.values())):
+            raise DefinitionError(f'"{field}" must be an object of expression strings')
+        named.append({name: parse_element(algebra, t) for name, t in texts.items()})
+    return Definition(algebra, lie_table, *named)

@@ -144,6 +144,8 @@ class _Parser:
                 if den_tok[0] != "int":
                     self.pos = save
                     return None
+                if not int(den_tok[1]):
+                    raise ExprError("zero denominator", den_tok[2])
                 num = num / int(den_tok[1])
             if self.peek()[:2] == ("sym", "*"):
                 self.take()

@@ -226,28 +226,45 @@ def lie_from_constants(basis, constants, form, name="lie") -> LiePresentation:
 
     basis: list of (name, parity) with parity "even"/"odd" or 0/1.
     constants: mapping (i, j) -> {m: value} or list of [i, j, [(m, value), ...]].
-    form: dense matrix of Fractions / strings.
+    form: dense matrix.
+    Values are ints, Fractions or "p/q" strings; anything else (floats
+    included) raises LieError, as do unknown parities and bad indices.
     """
     names = []
     parities = []
-    for entry in basis:
-        n, p = entry
+    for n, p in basis:
+        p = {"even": EVEN, "odd": ODD}.get(p, p) if isinstance(p, str) else p
+        if not isinstance(n, str) or type(p) is not int or p not in (EVEN, ODD):
+            raise LieError(f"basis entry ({n!r}, {p!r}) needs a name and even or odd")
         names.append(n)
-        if p in (EVEN, ODD):
-            parities.append(p)
-        else:
-            parities.append({"even": EVEN, "odd": ODD}[p])
-    brackets = {}
+        parities.append(p)
+
+    def index(i):
+        if type(i) is not int or not 0 <= i < len(names):
+            raise LieError(f"structure constant index {i!r} is not a basis index")
+        return i
+
     if isinstance(constants, dict):
-        items = constants.items()
-    else:
-        items = (((i, j), dict(pairs)) for i, j, pairs in constants)
-    for (i, j), comp in items:
-        comp = {m: Fraction(c) for m, c in dict(comp).items() if Fraction(c)}
+        constants = [(i, j, comp.items()) for (i, j), comp in constants.items()]
+    brackets = {}
+    for i, j, pairs in constants:
+        key = (index(i), index(j))
+        comp = {index(m): _exact(c, "structure constant") for m, c in pairs}
+        comp = {m: c for m, c in comp.items() if c}
         if comp:
-            brackets[(i, j)] = comp
-    form = [[Fraction(c) for c in row] for row in form]
+            brackets[key] = comp
+    form = [[_exact(c, "form entry") for c in row] for row in form]
     return LiePresentation(names, parities, brackets, form, name=name)
+
+
+def _exact(value, what) -> Fraction:
+    """An exact number from an int, a Fraction or a "p/q" string."""
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise LieError(f"{what} {value!r} is not an exact number (int or \"p/q\")")
 
 
 # ---------------------------------------------------------------------------

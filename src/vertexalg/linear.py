@@ -30,10 +30,14 @@ from .coefficients import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    as_ratfunc,
     format_poly,
+    format_ratfunc,
+    pcontent,
     pdeg,
     pdivmod,
     pgcd,
+    plcm,
     pmul,
     pneg,
     pprimitive,
@@ -56,11 +60,10 @@ class NotTorusDiagonal(LinearError):
 
 
 class WeightBasis:
-    def __init__(self, pres: VAPresentation, weight, monomials, filter_info=None):
+    def __init__(self, pres: VAPresentation, weight, monomials):
         self.pres = pres
         self.weight = Fraction(weight)
         self.monomials = tuple(monomials)
-        self.filter_info = filter_info
         self.index = {M: i for i, M in enumerate(self.monomials)}
 
     def __len__(self):
@@ -70,39 +73,39 @@ class WeightBasis:
         return iter(self.monomials)
 
 
+def _pbw_words(bases, w):
+    """Sorted words of total weight w in the bases and their derivatives.
+
+    bases is a list of (weight, parity); a word is a sorted tuple of
+    (base index, derivative order) slots in which an even slot may repeat
+    and an odd slot appears at most once.
+    """
+    slots = sorted(
+        ((i, d), wt + d, parity)
+        for i, (wt, parity) in enumerate(bases)
+        for d in range(int(w - wt) + 1 if wt <= w else 0)
+    )
+
+    def recurse(start, remaining):
+        if remaining == 0:
+            yield ()
+            return
+        for idx in range(start, len(slots)):
+            slot, fw, odd = slots[idx]
+            if fw <= remaining:
+                for rest in recurse(idx + 1 if odd else idx, remaining - fw):
+                    yield (slot,) + rest
+
+    return sorted(recurse(0, w))
+
+
 def weight_basis(P: VAPresentation, w) -> WeightBasis:
     """All canonical monomials of the given weight, in lexicographic order."""
     w = Fraction(w)
     if w < 0:
         raise LinearError("weight must be nonnegative")
-    factors = []
-    for g in P.generators:
-        d = 0
-        while g.weight + d <= w:
-            factors.append((g.index, d))
-            d += 1
-    factors.sort()
-    out = []
-
-    def recurse(start, remaining, stack):
-        if remaining == 0:
-            out.append(tuple(stack))
-            return
-        for idx in range(start, len(factors)):
-            f = factors[idx]
-            fw = P.gen_weight(f[0]) + f[1]
-            if fw > remaining:
-                continue
-            odd = P.gen_parity(f[0])
-            if odd and stack and stack[-1] == f:
-                continue
-            stack.append(f)
-            recurse(idx if not odd else idx + 1, remaining - fw, stack)
-            stack.pop()
-
-    recurse(0, w, [])
-    out.sort()
-    return WeightBasis(P, w, out)
+    bases = [(g.weight, g.parity) for g in P.generators]
+    return WeightBasis(P, w, _pbw_words(bases, w))
 
 
 def charge_filter(basis: WeightBasis, currents=None, charges=None, charge_maps=None):
@@ -135,7 +138,7 @@ def charge_filter(basis: WeightBasis, currents=None, charges=None, charge_maps=N
                 break
         if ok:
             keep.append(M)
-    return WeightBasis(P, basis.weight, keep, filter_info=(tuple(charges),))
+    return WeightBasis(P, basis.weight, keep)
 
 
 def _diagonal_charges(P: VAPresentation, J: Element) -> dict:
@@ -176,10 +179,7 @@ class PolySystem:
         entries = {c: v for c, v in entries.items() if v}
         if not entries:
             return
-        den = PONE
-        for v in entries.values():
-            g = pgcd(den, v.den)
-            den = pdivmod(pmul(den, v.den), g)[0]
+        den = plcm(v.den for v in entries.values())
         if pdeg(den) > 0:
             self.cleared_factors.append(den)
         row = {}
@@ -297,19 +297,8 @@ def _strip_row(row: dict) -> dict:
             break
     if pdeg(g) > 0:
         row = {c: pdivmod(v, g)[0] for c, v in row.items()}
-    # rational content
-    from math import gcd
-
-    num = 0
-    den = 1
-    for v in row.values():
-        for coeff in v:
-            num = gcd(num, coeff.numerator)
-            den = den * coeff.denominator // gcd(den, coeff.denominator)
-    if num:
-        cont = Fraction(num, den)
-        row = {c: tuple(x / cont for x in v) for c, v in row.items()}
-    return row
+    cont = pcontent(x for v in row.values() for x in v)
+    return {c: tuple(x / cont for x in v) for c, v in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +340,7 @@ def apply_derivation(P: VAPresentation, derivation: dict, x: Element) -> Element
 
 class SolveReport:
     def __init__(self, pres, weight, basis, rank, pivot_polys, kernel_vectors,
-                 system, actions=None):
+                 system):
         self.pres = pres
         self.weight = weight
         self.basis = basis
@@ -359,7 +348,6 @@ class SolveReport:
         self.pivot_polys = list(pivot_polys)
         self.kernel_vectors = kernel_vectors
         self.system = system
-        self.actions = actions
 
     @property
     def kernel_dim(self) -> int:
@@ -400,8 +388,6 @@ class SolveReport:
         return self.system.ncols - self.rank_at(k0)
 
     def serialize(self):
-        from .coefficients import format_ratfunc
-
         return {
             "weight": str(self.weight),
             "basis_size": len(self.basis),
@@ -462,13 +448,7 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
         for n in range(top + 1):
             rows = {}
             for col, M in enumerate(basis.monomials):
-                v = P.element({M: 1})
-                if current is not None:
-                    image = P.nprod(current, v, n)
-                else:
-                    image = P.zero()
-                if n == 0 and derivation is not None:
-                    image = image + apply_derivation(P, derivation, v)
+                image = _action_image(P, current, derivation, P.element({M: 1}), n)
                 for T, c in image.data.items():
                     rows.setdefault(T, {})[col] = c
             for T in sorted(rows):
@@ -476,7 +456,6 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
                 original.append(dict(entries))
                 system.add_row(entries)
     system.original_rows = original
-    system.basis = basis
     return system
 
 
@@ -487,7 +466,7 @@ def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
     system = commutant_system(P, actions, w, basis)
     rank, pivots, pivot_rows = system.eliminate()
     kernel = system.kernel(pivot_rows)
-    return SolveReport(P, w, basis, rank, pivots, kernel, system, actions)
+    return SolveReport(P, w, basis, rank, pivots, kernel, system)
 
 
 def verify_commutant(P: VAPresentation, v: Element, actions) -> bool:
@@ -500,11 +479,9 @@ def verify_commutant(P: VAPresentation, v: Element, actions) -> bool:
         return True
     w = P.weight_of(v)
     nmax = int(ceil(w)) if w > 0 else 0
-    for current, _ in _normalize_actions(actions):
-        if current is None:
-            continue
+    for current, derivation in _normalize_actions(actions):
         for n in range(1, nmax + 2):
-            if not P.nprod(current, v, n).is_zero():
+            if not _action_image(P, current, derivation, v, n).is_zero():
                 return False
     return True
 
@@ -520,12 +497,17 @@ def verify_invariant(P: VAPresentation, v: Element, actions) -> bool:
     if v.is_zero():
         return True
     for current, derivation in _normalize_actions(actions):
-        image = P.nprod(current, v, 0) if current is not None else P.zero()
-        if derivation is not None:
-            image = image + apply_derivation(P, derivation, v)
-        if not image.is_zero():
+        if not _action_image(P, current, derivation, v, 0).is_zero():
             return False
     return True
+
+
+def _action_image(P, current, derivation, v, n):
+    """current_(n) v, plus derivation(v) when n = 0."""
+    image = P.nprod(current, v, n) if current is not None else P.zero()
+    if n == 0 and derivation is not None:
+        image = image + apply_derivation(P, derivation, v)
+    return image
 
 
 def invariant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
@@ -645,36 +627,9 @@ def enumerate_words(P: VAPresentation, gens, w):
     brackets and so to other words whenever the generator set is closed.
     """
     w = Fraction(w)
-    info = []
-    for pos, g in enumerate(gens):
-        info.append((pos, P.weight_of(g), P.parity_of(g)))
-    slots = []
-    for pos, wt, parity in info:
-        d = 0
-        while wt + d <= w:
-            slots.append((pos, d, wt + d, parity))
-            d += 1
-    slots.sort()
-    words = []
-
-    def recurse(start, remaining, stack):
-        if remaining == 0:
-            words.append(tuple(stack))
-            return
-        for idx in range(start, len(slots)):
-            pos, d, fw, parity = slots[idx]
-            if fw > remaining:
-                continue
-            if parity and stack and stack[-1] == (pos, d):
-                continue
-            stack.append((pos, d))
-            recurse(idx if not parity else idx + 1, remaining - fw, stack)
-            stack.pop()
-
-    recurse(0, w, [])
-    words.sort()
+    bases = [(P.weight_of(g), P.parity_of(g)) for g in gens]
     out = []
-    for word in words:
+    for word in _pbw_words(bases, w):
         elem = None
         for pos, d in reversed(word):
             piece = gens[pos].deriv(d)
@@ -746,12 +701,7 @@ def _relation(P: VAPresentation, target: Element, words, w):
     if sol is None:
         return Obstruction(w, words_rank, combined_rank)
     # clear denominators into a primitive polynomial multiplier
-    den = PONE
-    for c in sol:
-        if c:
-            g = pgcd(den, c.den)
-            den = pdivmod(pmul(den, c.den), g)[0]
-    multiplier = RatFunc(pprimitive(den), PONE)
+    multiplier = RatFunc(pprimitive(plcm(c.den for c in sol if c)), PONE)
     scale = multiplier
     combination = P.zero()
     word_coeffs = {}
@@ -806,12 +756,9 @@ def pin_commutant_element(report: SolveReport, shape: dict) -> Element:
     kers = report.kernel_elements()
     if not kers:
         raise LinearError("empty kernel; nothing to pin")
-    rows = []
-    rhs = []
-    for M, value in shape.items():
-        rows.append({i: v.coeff(tuple(M)) for i, v in enumerate(kers)})
-        rhs.append(value if isinstance(value, RatFunc) else RatFunc.const(value))
-    sol = solve(rows, rhs, len(kers))[0]
+    shape = {tuple(M): as_ratfunc(value) for M, value in shape.items()}
+    rows = [{i: v.coeff(M) for i, v in enumerate(kers)} for M in shape]
+    sol = solve(rows, list(shape.values()), len(kers))[0]
     if sol is None:
         raise LinearError("shape constraints are inconsistent with the kernel")
     out = report.pres.zero()
@@ -819,8 +766,7 @@ def pin_commutant_element(report: SolveReport, shape: dict) -> Element:
         if c:
             out = out + kers[i] * c
     for M, value in shape.items():
-        want = value if isinstance(value, RatFunc) else RatFunc.const(value)
-        if out.coeff(tuple(M)) != want:
+        if out.coeff(M) != value:
             raise LinearError("shape constraints do not pin a kernel element")
     return out
 

@@ -57,6 +57,11 @@ def _expect(cond, detail):
     return detail
 
 
+def _numbers(values) -> str:
+    """Sorted exact numbers as text, e.g. "[-4, -8/3]"."""
+    return "[" + ", ".join(str(v) for v in sorted(values)) + "]"
+
+
 class SuiteReport:
     def __init__(self, name):
         self.name = name
@@ -225,12 +230,12 @@ def suite_osp_coset() -> SuiteReport:
         )
         roots = set(report.roots)
         want = {Fraction(r) for r in want_roots}
-        _expect(roots == want, f"roots {sorted(roots)}, want {sorted(want)}")
+        _expect(roots == want, f"roots {_numbers(roots)}, want {_numbers(want)}")
         _expect(report.poles == {Fraction(-2), Fraction(-3, 2)},
-                f"poles {sorted(report.poles)}")
+                f"poles {_numbers(report.poles)}")
         _expect(report.relation.verify(), "relation does not verify")
-        return (f"multiplier {report.multiplier}; roots {sorted(roots)}; "
-                f"poles {sorted(report.poles)} reported separately")
+        return (f"multiplier {report.multiplier}; roots {_numbers(roots)}; "
+                f"poles {_numbers(report.poles)} reported separately")
 
     rep.run_check("weight-4-decoupling", lambda: decouple(4, 1, ["-4"]))
     rep.run_check("weight-6-decoupling", lambda: decouple(6, 2, ["-4", "-8/3"]))
@@ -394,7 +399,8 @@ def suite_parafermion_sl2() -> SuiteReport:
     def dims():
         table = graded_dimensions(P, [H], 5, w_min=2)
         want = {Fraction(2): 1, Fraction(3): 2, Fraction(4): 4, Fraction(5): 6}
-        _expect(table == want, f"dims {table}")
+        _expect(table == want,
+                "dims {" + ", ".join(f"{w}: {d}" for w, d in table.items()) + "}")
         return "Com(H, V_k(sl2)) has generic graded dimensions (1, 2, 4, 6) at weights (2, 3, 4, 5)"
 
     rep.run_check("graded-dimensions", dims)
@@ -403,8 +409,8 @@ def suite_parafermion_sl2() -> SuiteReport:
         solve = commutant_basis(P, [H], 2)
         ng = nongeneric_levels(solve)
         _expect(set(ng.certified) == {Fraction(0)},
-                f"certified {sorted(ng.certified)}")
-        _expect(not ng.candidates, f"uncertified candidates {sorted(ng.candidates)}")
+                f"certified {_numbers(ng.certified)}")
+        _expect(not ng.candidates, f"uncertified candidates {_numbers(ng.candidates)}")
         gen, at = ng.certified[Fraction(0)]
         return f"weight-2 nongeneric set {{0}}: kernel dimension jumps {gen} -> {at}"
 

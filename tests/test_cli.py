@@ -139,6 +139,14 @@ def test_cli_list(capsys):
     assert "sugawara" in out and "affine:<lie>@<level>" in out
 
 
+def test_listed_constructors_build(capsys):
+    assert main(["--format", "json", "list"]) == 0
+    for spec in json.loads(capsys.readouterr().out)["constructors"]:
+        for hole, value in (("<lie>", "sl2"), ("<level>", "k"), ("<n>", "1"), ("<m>", "1")):
+            spec = spec.replace(hole, value)
+        assert build_algebra(spec).ngen > 0, spec
+
+
 def test_cli_bad_lie_definition(tmp_path, capsys):
     # an invalid Lie section must fail cleanly with a usage-error exit code
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """The rewriting engine: products, brackets, gradings, presentation checks."""
 
+import copy
 import random
 from fractions import Fraction
 from math import comb
@@ -25,7 +26,7 @@ from vertexalg.core import (
     VAPresentation,
 )
 from vertexalg.lie import builtin_lie
-from vertexalg.linear import weight_basis
+from vertexalg.linear import commutant_basis, find_relation, weight_basis
 
 K = RatFunc.param()
 
@@ -324,6 +325,50 @@ def test_jacobi_on_random_triples():
                         )
                     assert lhs == rhs
             done += 1
+
+
+def test_scalars_are_exact():
+    # the one coercion into Q(k) takes int, Fraction and RatFunc, never floats
+    P = heisenberg(1)
+    a1 = ((0, 0),)
+    for make in (
+        lambda: RatFunc.const(0.1),
+        lambda: RatFunc.const(1) + 0.1,
+        lambda: P.gen(0) * 0.1,
+        lambda: P.element({a1: 0.1}),
+        lambda: P.vacuum(0.5),
+        lambda: affine(builtin_lie("sl2"), 0.1),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    half = Fraction(1, 2)
+    assert P.gen(0) * half == P.element({a1: half}) == P.element({a1: RatFunc.const(half)})
+    assert P.vacuum(2) == P.vacuum(RatFunc.const(2)) == P.element({(): 2})
+    assert affine(builtin_lie("sl2"), 2).metadata["level"] == RatFunc.const(2)
+
+
+def test_memoized_products_are_never_mutated():
+    # _prod hands out its memo entries without copying them
+    for name, cartan in (("sl3", "H1"), ("osp(1|2)", "H")):
+        P = affine(builtin_lie(name), K)
+        gens = [P.gen(i) for i in range(P.ngen)]
+        L = sugawara(P)
+        for x in gens + [L]:
+            for y in gens:
+                P.lambda_bracket(x, y)
+                P.normal_order(y, x)
+        assert P.check().ok
+        before = copy.deepcopy(P._memo)
+        H = P.gen(cartan)
+        assert commutant_basis(P, [H], 3).kernel_dim > 0
+        assert find_relation(P, P.derivative(L).no(H), [L, H]).verify()
+        rng = random.Random(3)
+        monos = weight_basis(P, 2).monomials
+        for _ in range(30):
+            x = P.element({rng.choice(monos): 1})
+            P.lambda_bracket(x, P.element({rng.choice(monos): K}))
+        assert len(P._memo) > len(before)
+        assert all(P._memo[key] == value for key, value in before.items())
 
 
 def _random_element(P, rng, max_weight=3, max_len=None):

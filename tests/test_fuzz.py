@@ -1,0 +1,128 @@
+"""Seeded fuzzing of the CLI inputs: definition files and the expression grammar.
+
+Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
+a message, never with a traceback.
+"""
+
+import copy
+import json
+import random
+
+from vertexalg.cli import main
+
+from test_cli import DEFINITION
+
+VALUES = [
+    None, True, 0, 1, -1, 7, 0.5, 0.1, "", "x", "purple", "even", "odd", "1/0",
+    "1/2", "H", "k", "bc:1", "affine:sl2@k", ":b c:", [], [0.1], [None],
+    [[0.1]], [["H", "even"]], {}, {"a": 1}, {"spec": "bc:1"},
+]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _mutate(doc, rng):
+    """Replace, delete or wrap one node of the document."""
+    path = rng.choice(list(_paths(doc)))
+    value = rng.choice(VALUES)
+    if not path:
+        return copy.deepcopy(value)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    action = rng.randrange(3)
+    if action == 0:
+        parent[path[-1]] = copy.deepcopy(value)
+    elif action == 1:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]]
+    return doc
+
+
+def test_definition_mutations_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(20240601)
+    path = tmp_path / "def.json"
+    codes = []
+    for _ in range(300):
+        doc = _mutate(copy.deepcopy(DEFINITION), rng)
+        path.write_text(json.dumps(doc))
+        codes.append(main(["define", "--file", str(path)]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert 0 in codes and 2 in codes
+
+
+def test_float_in_definition_is_rejected(tmp_path, capsys):
+    for put in (
+        lambda doc: doc["lie"]["form"][0].__setitem__(0, 0.5),
+        lambda doc: doc["lie"]["constants"][0][2][0].__setitem__(1, 1.0),
+    ):
+        doc = copy.deepcopy(DEFINITION)
+        put(doc)
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(doc))
+        assert main(["bracket", "--algebra", str(path), "--left", "H", "--right", "H"]) == 2
+        assert "not an exact number" in capsys.readouterr().err
+
+
+ALGEBRAS = {
+    "heisenberg:1": ["a1"],
+    "bc:1": ["b", "c"],
+    "affine:sl2@k": ["H", "Xp", "Xm"],
+}
+COEFFS = ["(k + 1)*", "(1)/(k - 2)*", "3/4*", "0/0*", "12/0*", "(k/0)*", "(1/0)*", "(k^2)*"]
+SYMBOLS = list(":()+-*/^") + ["D^", "k", "kk", "0", "1", "12", " "]
+
+
+def _expression(names, rng, depth=0):
+    pick = rng.randrange(9 if depth < 3 else 3)
+    if pick == 0:
+        return rng.choice(names)
+    if pick == 1:
+        return rng.choice(["1", "0", rng.choice(names)])
+    if pick == 2:
+        return rng.choice(COEFFS) + rng.choice(names)
+    sub = [_expression(names, rng, depth + 1) for _ in range(rng.randint(2, 3))]
+    if pick == 3:
+        return f"D^{rng.randint(0, 3)}({sub[0]})"
+    if pick in (4, 5):
+        return ":" + " ".join(sub) + ":"
+    if pick == 6:
+        return f"({sub[0]})"
+    return f" {rng.choice('+-')} ".join(sub)
+
+
+def _corrupt(text, rng):
+    """Delete, insert or replace one character; the numbers stay small, since
+    the cost of D^n and k^n grows with n."""
+    i = rng.randrange(len(text) + 1)
+    action = rng.randrange(3)
+    if action == 0:
+        return text[:i] + text[i + 1:]
+    insert = rng.choice(SYMBOLS)
+    if action == 1:
+        return text[:i] + insert + text[i:]
+    return text[:i] + insert + text[i + 1:]
+
+
+def test_expression_strings_exit_cleanly(capsys):
+    rng = random.Random(20240602)
+    codes = []
+    for _ in range(1000):
+        algebra = rng.choice(sorted(ALGEBRAS))
+        text = _expression(ALGEBRAS[algebra], rng)
+        for _ in range(rng.randrange(3)):
+            text = _corrupt(text, rng)
+        codes.append(main(["normal-form", "--algebra", algebra, f"--expr={text}"]))
+    capsys.readouterr()
+    assert set(codes) <= {0, 2}
+    assert codes.count(0) > 100 and codes.count(2) > 100

@@ -1,0 +1,79 @@
+"""Dead-code guard: an AST scan of the vertexalg package (standard library only).
+
+Every private module-level function and private method must be referenced
+somewhere in the package outside its own body, and every import must be used
+in the module that makes it (names listed in __all__ count as used).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vertexalg"
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced_names(node):
+    """Names a node loads, reads as attributes or imports, with counts."""
+    counts = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        elif isinstance(sub, ast.alias):
+            name = sub.name
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def _private_defs(tree):
+    """Private module-level functions and private (non-dunder) methods."""
+    for node in tree.body:
+        bodies = [node] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            bodies = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        for fn in bodies:
+            if fn.name.startswith("_") and not fn.name.endswith("__"):
+                yield fn
+
+
+def test_every_private_function_is_referenced():
+    trees = _trees()
+    totals = {}
+    for tree in trees.values():
+        for name, n in _referenced_names(tree).items():
+            totals[name] = totals.get(name, 0) + n
+    dead = []
+    for module, tree in trees.items():
+        for fn in _private_defs(tree):
+            own = _referenced_names(fn).get(fn.name, 0)
+            if totals.get(fn.name, 0) <= own:
+                dead.append(f"{module}:{fn.lineno} {fn.name}")
+    assert not dead, f"private functions with no reference: {dead}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, tree in _trees().items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{module}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, f"unused imports: {unused}"

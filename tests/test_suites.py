@@ -15,3 +15,12 @@ def test_suite_passes(name, suite_report):
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("not-a-suite")
+
+
+def test_suite_details_print_numbers(suite_report):
+    report, _ = suite_report("osp-coset")
+    details = {name: detail for name, _, detail, _ in report.checks}
+    assert details["weight-6-decoupling"] == (
+        "multiplier (3*k^2 + 20*k + 32); roots [-4, -8/3]; "
+        "poles [-2, -3/2] reported separately"
+    )
