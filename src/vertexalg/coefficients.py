@@ -53,9 +53,7 @@ def pnormalize(coeffs) -> Poly:
 
 
 def pconst(c) -> Poly:
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"not an exact scalar: {c!r}")
-    c = Fraction(c)
+    c = exact_scalar(c)
     return (c,) if c else PZERO
 
 
@@ -351,7 +349,7 @@ class RatFunc:
     # -- analysis ----------------------------------------------------------
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
+        x = exact_scalar(x)
         d = peval(self.den, x)
         if d == 0:
             raise EvaluationAtPole(x)
@@ -371,6 +369,14 @@ class RatFunc:
         return format_ratfunc(self)
 
     __repr__ = __str__
+
+
+def exact_scalar(x) -> Fraction:
+    """The one exact scalar check: an int or Fraction as a Fraction.
+    Anything else, floats included, raises TypeError."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return Fraction(x)
 
 
 def as_ratfunc(x) -> RatFunc:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc
+from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc, exact_scalar
 
 EVEN, ODD = 0, 1
 
@@ -343,6 +343,7 @@ class VAPresentation:
 
     def evaluate_level(self, x: "Element", k0) -> "Element":
         self._require(x)
+        k0 = exact_scalar(k0)
         out = {}
         for M, c in x.data.items():
             v = c.evaluate(k0)

@@ -3,13 +3,18 @@
 Weight-graded basis enumeration, torus-charge filtering, commutant solves,
 relation finding, and decoupling analysis.
 
-One fraction-free elimination over Q(k), PolySystem.eliminate (after
-Bareiss 1968, Math. Comp. 22), serves every parametric solve: the commutant
+One fraction-free elimination, PolySystem.eliminate (after Bareiss 1968,
+Math. Comp. 22), serves every parametric solve over Q(k): the commutant
 kernel, and through solve() the relation, pin and span solves, where the
-right-hand side is one extra column.  It keeps pivot polynomials available
-for nongeneric-level reporting.  SolveReport.rank_at is deliberately a
-separate plain elimination over Q at a fixed level: it is the independent
-certificate for nongeneric levels.
+right-hand side is one extra column.  Rows have their denominators cleared
+and live in Z[k] as primitive rows of integer tuples.  In each column the
+pivot is the entry of lowest degree, ties going to the sparsest row
+(Markowitz 1957, Management Science 3) and then to the first one.
+Elimination works on a copy, so the input rows stay as built.  The pivot
+polynomials are reported over Q for nongeneric-level reporting, and the
+kernel vectors come back as RatFunc coordinates.  SolveReport.rank_at is
+deliberately a separate plain elimination over Q at a fixed level: it is
+the independent certificate for nongeneric levels.
 
 Commutant conditions accept "actions": either a weight-one current (all its
 nonnegative modes must kill the element) or a pair (current, derivation)
@@ -22,7 +27,7 @@ restriction to a free tensor factor is not inner.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd, lcm
 
 from .coefficients import (
     PONE,
@@ -31,17 +36,15 @@ from .coefficients import (
     RF_ZERO,
     RatFunc,
     as_ratfunc,
+    exact_scalar,
     format_poly,
     format_ratfunc,
-    pcontent,
     pdeg,
     pdivmod,
     pgcd,
     plcm,
     pmul,
-    pneg,
     pprimitive,
-    psub,
     rational_roots,
 )
 from .core import Element, VAError, VAPresentation
@@ -101,7 +104,7 @@ def _pbw_words(bases, w):
 
 def weight_basis(P: VAPresentation, w) -> WeightBasis:
     """All canonical monomials of the given weight, in lexicographic order."""
-    w = Fraction(w)
+    w = exact_scalar(w)
     if w < 0:
         raise LinearError("weight must be nonnegative")
     bases = [(g.weight, g.parity) for g in P.generators]
@@ -123,7 +126,7 @@ def charge_filter(basis: WeightBasis, currents=None, charges=None, charge_maps=N
             maps.append(_diagonal_charges(P, J))
     if charges is None:
         charges = [Fraction(0)] * len(maps)
-    charges = [Fraction(c) for c in charges]
+    charges = [exact_scalar(c) for c in charges]
     if len(charges) != len(maps):
         raise LinearError("one charge per current required")
     if not maps:
@@ -162,16 +165,16 @@ def _diagonal_charges(P: VAPresentation, J: Element) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Division-free elimination with pivot polynomials
+# Fraction-free elimination over Z[k] with pivot polynomials
 
 
 class PolySystem:
-    """A sparse linear system over Q(param) kept as cleared polynomial rows."""
+    """A sparse linear system over Q(param) kept as primitive rows over Z[param]."""
 
     def __init__(self, ncols, param="k"):
         self.ncols = ncols
         self.param = param
-        self.rows = []  # list of dict col -> Poly
+        self.rows = []  # list of dict col -> integer polynomial (tuple of int)
         self.cleared_factors = []  # denominators cleared while building rows
 
     def add_row(self, entries: dict):
@@ -182,70 +185,69 @@ class PolySystem:
         den = plcm(v.den for v in entries.values())
         if pdeg(den) > 0:
             self.cleared_factors.append(den)
-        row = {}
-        for c, v in entries.items():
-            q = pdivmod(den, v.den)[0]
-            row[c] = pmul(v.num, q)
-        self.rows.append(_strip_row(row))
+        row = {c: pmul(v.num, pdivmod(den, v.den)[0]) for c, v in entries.items()}
+        self.rows.append(_strip_row(_integer_row(row)))
 
     def eliminate(self):
-        """Column-ordered echelon form; returns (rank, pivots, pivot data)."""
-        active = list(range(len(self.rows)))
+        """Column-ordered echelon form; returns (rank, pivots, pivot data).
+
+        The pivot in each column is the entry of lowest degree, ties going
+        to the row with fewest nonzeros, then to the first such row.  Rows
+        are replaced, never changed in place, so self.rows stays as built.
+        """
+        active = list(self.rows)
         pivot_polys = []
         pivot_rows = []  # (col, row dict)
         for col in range(self.ncols):
-            best = None
-            for ai, ridx in enumerate(active):
-                entry = self.rows[ridx].get(col)
-                if entry:
-                    key = (pdeg(entry), ai)
-                    if best is None or key < best[0]:
-                        best = (key, ai, ridx)
+            best = min(
+                ((len(row[col]), len(row), i) for i, row in enumerate(active) if col in row),
+                default=None,
+            )
             if best is None:
                 continue
-            _, ai, ridx = best
-            active.pop(ai)
-            prow = self.rows[ridx]
+            prow = active.pop(best[2])
             pentry = prow[col]
             pivot_polys.append(pprimitive(pentry))
             pivot_rows.append((col, prow))
-            for ridx2 in active:
-                row2 = self.rows[ridx2]
-                entry2 = row2.get(col)
-                if not entry2:
-                    continue
-                new_row = {}
-                for c, v in row2.items():
-                    new_row[c] = pmul(pentry, v)
-                for c, v in prow.items():
-                    t = pmul(entry2, v)
-                    cur = new_row.get(c)
-                    new_row[c] = psub(cur, t) if cur else pneg(t)
-                self.rows[ridx2] = _strip_row({c: v for c, v in new_row.items() if v})
+            active = [
+                _strip_row(_combine_rows(pentry, row, row[col], prow))
+                if col in row else row
+                for row in active
+            ]
         return len(pivot_rows), pivot_polys, pivot_rows
 
     def kernel(self, pivot_rows):
         """Kernel basis as RatFunc coordinate vectors, one per free column."""
         pivot_set = {c for c, _ in pivot_rows}
+        rows = _ratfunc_rows(pivot_rows)
         return [
-            self._kernel_vector(pivot_rows, fc)
+            self._kernel_vector(rows, fc)
             for fc in range(self.ncols)
             if fc not in pivot_set
         ]
 
-    def _kernel_vector(self, pivot_rows, free_col):
-        """Back-substitution: the kernel vector that is one at free_col and
-        zero at every other free column."""
+    def _kernel_vector(self, rows, free_col):
+        """Back-substitution in the RatFunc pivot rows: the kernel vector that
+        is one at free_col and zero at every other free column."""
         x = [RF_ZERO] * self.ncols
         x[free_col] = RF_ONE
-        for col, row in reversed(pivot_rows):
+        for col, row in reversed(rows):
             total = RF_ZERO
             for c, v in row.items():
                 if c > col and x[c]:
-                    total = total + RatFunc(v, PONE, _reduced=True) * x[c]
+                    total = total + v * x[c]
             if total:
-                x[col] = -total / RatFunc(row[col], PONE, _reduced=True)
+                x[col] = -total / row[col]
         return x
+
+
+def _ratfunc_rows(pivot_rows):
+    """Pivot rows over Z[k] as rows of RatFunc with Fraction coefficients."""
+    return [
+        (col, {c: RatFunc(tuple(map(Fraction, v)), PONE, _reduced=True)
+               for c, v in row.items()})
+        for col, row in pivot_rows
+    ]
 
 
 def solve(rows, rhs, ncols):
@@ -266,7 +268,7 @@ def solve(rows, rhs, ncols):
     rank, _, pivot_rows = system.eliminate()
     if pivot_rows and pivot_rows[-1][0] == ncols:
         return None, rank - 1, rank
-    return system._kernel_vector(pivot_rows, ncols)[:ncols], rank, rank
+    return system._kernel_vector(_ratfunc_rows(pivot_rows), ncols)[:ncols], rank, rank
 
 
 def solve_span(columns, target):
@@ -286,19 +288,56 @@ def solve_span(columns, target):
     return solve([rows[M] for M in ordered], rhs, len(columns))
 
 
+def _integer_row(row: dict) -> dict:
+    """A row of Fraction polynomials times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for v in row.values() for x in v))
+    return {c: tuple(x.numerator * (scale // x.denominator) for x in v)
+            for c, v in row.items()}
+
+
 def _strip_row(row: dict) -> dict:
-    """Remove the polynomial and rational content of a row."""
+    """Primitive part of a row over Z[k]: the row divided by the gcd of its
+    entries and by its positive integer content.  The gcd can have positive
+    degree only when no entry is a constant."""
     if not row:
         return row
-    g = PZERO
-    for v in row.values():
-        g = pgcd(g, v) if g else v
-        if pdeg(g) == 0:
-            break
-    if pdeg(g) > 0:
-        row = {c: pdivmod(v, g)[0] for c, v in row.items()}
-    cont = pcontent(x for v in row.values() for x in v)
-    return {c: tuple(x / cont for x in v) for c, v in row.items()}
+    if all(len(v) > 1 for v in row.values()):
+        frac = {c: tuple(map(Fraction, v)) for c, v in row.items()}
+        g = PZERO
+        for v in frac.values():
+            g = pgcd(g, v) if g else v
+            if pdeg(g) == 0:
+                break
+        if pdeg(g) > 0:
+            row = _integer_row({c: pdivmod(v, g)[0] for c, v in frac.items()})
+    cont = gcd(*(x for v in row.values() for x in v))
+    if cont == 1:
+        return row
+    return {c: tuple(x // cont for x in v) for c, v in row.items()}
+
+
+def _combine_rows(a, row: dict, b, prow: dict) -> dict:
+    """The row a*row - b*prow over Z[k], without its zero entries."""
+    out = {}
+    for c in row.keys() | prow.keys():
+        p = _zcombine(a, row.get(c, ()), b, prow.get(c, ()))
+        if p:
+            out[c] = p
+    return out
+
+
+def _zcombine(a, v, b, w):
+    """a*v - b*w for integer polynomials (tuples, low degree first)."""
+    out = [0] * (max(len(a) + len(v), len(b) + len(w)) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    for i, x in enumerate(b):
+        for j, y in enumerate(w):
+            out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +411,7 @@ class SolveReport:
         return dens
 
     def rank_at(self, k0) -> int:
-        k0 = Fraction(k0)
+        k0 = exact_scalar(k0)
         rows = []
         for row in self.system.original_rows:
             out = {}
@@ -432,7 +471,7 @@ def _fraction_rank(rows, ncols) -> int:
 
 
 def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
-    w = Fraction(w)
+    w = exact_scalar(w)
     if basis is None:
         basis = weight_basis(P, w)
     actions = _normalize_actions(actions)
@@ -460,7 +499,7 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
 
 
 def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
-    w = Fraction(w)
+    w = exact_scalar(w)
     if basis is None:
         basis = weight_basis(P, w)
     system = commutant_system(P, actions, w, basis)
@@ -512,7 +551,7 @@ def _action_image(P, current, derivation, v, n):
 
 def invariant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
     """Kernel of the combined zero modes on the weight-w space."""
-    w = Fraction(w)
+    w = exact_scalar(w)
     if basis is None:
         basis = weight_basis(P, w)
     zero_mode_actions = [
@@ -542,9 +581,9 @@ def _zero_mode_as_derivation(P, current, derivation):
 
 def graded_dimensions(P: VAPresentation, actions, w_max, w_min=None) -> dict:
     step = P.weight_step()
-    w = Fraction(w_min) if w_min is not None else step
+    w = exact_scalar(w_min) if w_min is not None else step
     out = {}
-    while w <= Fraction(w_max):
+    while w <= exact_scalar(w_max):
         if actions:
             out[w] = commutant_basis(P, actions, w).kernel_dim
         else:
@@ -626,7 +665,7 @@ def enumerate_words(P: VAPresentation, gens, w):
     skipped, as in the PBW spanning convention; odd squares reduce to
     brackets and so to other words whenever the generator set is closed.
     """
-    w = Fraction(w)
+    w = exact_scalar(w)
     bases = [(P.weight_of(g), P.parity_of(g)) for g in gens]
     out = []
     for word in _pbw_words(bases, w):
@@ -694,7 +733,7 @@ def find_relation(P: VAPresentation, target: Element, gens, w=None):
 
 def _relation(P: VAPresentation, target: Element, words, w):
     """find_relation on the already enumerated weight-w words."""
-    w = Fraction(w)
+    w = exact_scalar(w)
     if P.weight_of(target) != w:
         raise LinearError("target weight mismatch")
     sol, words_rank, combined_rank = solve_span([e for _, e in words], target)
@@ -788,7 +827,7 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
     eigenspace of their zero modes; kernel elements always lie there, so
     this only shrinks the system.
     """
-    w = Fraction(w)
+    w = exact_scalar(w)
     basis = None
     if charge_currents:
         basis = charge_filter(

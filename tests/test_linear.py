@@ -1,11 +1,12 @@
 """Weight bases, charge filters, exact solves, relations, nongeneric levels."""
 
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from vertexalg.coefficients import RF_ONE, RatFunc, pdivmod, pmul, pprimitive
+from vertexalg.coefficients import RF_ONE, RF_ZERO, RatFunc, pdivmod, pmul, pprimitive
 from vertexalg.constructions import (
     affine,
     bc_system,
@@ -25,8 +26,10 @@ from vertexalg.linear import (
     Obstruction,
     PolySystem,
     Relation,
+    SolveReport,
     charge_filter,
     commutant_basis,
+    commutant_system,
     decoupling_multiplier,
     enumerate_words,
     find_relation,
@@ -216,6 +219,125 @@ def test_pivot_divides_maximal_minor():
     for p in pivots:
         quot, rem = pdivmod(pprimitive(det), pprimitive(p))
         assert rem == ()
+
+
+@pytest.fixture(scope="module")
+def osp_weight4_system():
+    P = affine(builtin_lie("osp(1|2)"), K)
+    return commutant_system(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
+
+
+def test_eliminate_leaves_input_rows_intact(osp_weight4_system):
+    system = osp_weight4_system
+    rows = copy.deepcopy(system.rows)
+    first = system.eliminate()
+    second = system.eliminate()
+    assert system.rows == rows
+    assert first[:2] == second[:2]  # rank and pivot polynomials
+    assert [c for c, _ in first[2]] == [c for c, _ in second[2]]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_independent_of_row_order(osp_weight4_system, seed):
+    # the pivot rows depend on the row order, the pivot columns and the
+    # kernel vectors (one per free column) do not
+    system = osp_weight4_system
+    rank, _, pivot_rows = system.eliminate()
+    shuffled = PolySystem(system.ncols)
+    rows = system.original_rows
+    for row in random.Random(seed).sample(rows, len(rows)):
+        shuffled.add_row(row)
+    shuffled_rank, _, shuffled_pivot_rows = shuffled.eliminate()
+    assert shuffled_rank == rank
+    assert shuffled.kernel(shuffled_pivot_rows) == system.kernel(pivot_rows)
+
+
+def _random_poly(rng):
+    """A polynomial of degree at most 2 in k with small integer coefficients,
+    mostly constant so that pivot degrees tie."""
+    p = RF_ZERO
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        p = p * K + RatFunc.const(rng.randint(-3, 3))
+    return p
+
+
+def _random_rows(rng):
+    """Up to 6x6 sparse rows of differing sparsity, some of them dependent."""
+    nrows, ncols = rng.randint(2, 6), rng.randint(1, 6)
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            ca, cb = _random_poly(rng), _random_poly(rng)
+            row = {c: a.get(c, RF_ZERO) * ca + b.get(c, RF_ZERO) * cb for c in a.keys() | b.keys()}
+        else:
+            row = {c: _random_poly(rng) for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return rows, ncols
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_sparse_systems(seed):
+    rng = random.Random(seed)
+    rows, ncols = _random_rows(rng)
+    system = PolySystem(ncols)
+    for row in rows:
+        system.add_row(row)
+    system.original_rows = rows
+    rank, pivots, pivot_rows = system.eliminate()
+    kernel = system.kernel(pivot_rows)
+    assert rank + len(kernel) == ncols
+    for x in kernel:
+        for row in rows:
+            assert sum((v * x[c] for c, v in row.items()), RF_ZERO) == RF_ZERO
+    report = SolveReport(None, 0, None, rank, pivots, kernel, system)
+    ng = nongeneric_levels(report)
+    excluded = set(ng.certified) | ng.candidates | ng.poles
+    levels = []
+    while len(levels) < 3:
+        k0 = Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+        if k0 not in excluded:
+            levels.append(k0)
+    assert [report.rank_at(k0) for k0 in levels] == [rank] * 3
+
+
+@pytest.mark.parametrize("lie, currents, weight, certified", [
+    ("sl2", ["H"], 2, {Fraction(0): (1, 2)}),
+    ("sl2", ["H"], 3, {Fraction(0): (2, 3)}),
+    ("sl2", ["H"], 4, {Fraction(0): (4, 5)}),
+    ("osp(1|2)", ["H", "Xp", "Xm"], 3, {}),
+    ("osp(1|2)", ["H", "Xp", "Xm"], 4, {}),
+])
+def test_certified_nongeneric_levels(lie, currents, weight, certified):
+    # the pivot order may change the pivot polynomials and so the candidate
+    # levels, but never the certified ones
+    P = affine(builtin_lie(lie), K)
+    report = commutant_basis(P, [P.gen(name) for name in currents], weight)
+    assert nongeneric_levels(report).certified == certified
+
+
+def test_levels_and_weights_are_exact():
+    P = affine(builtin_lie("sl2"), K)
+    H = P.gen("H")
+    report = commutant_basis(P, [H], 2)
+    (v,) = report.kernel_elements()
+    for call in (
+        lambda: (K + RF_ONE).evaluate(0.1),
+        lambda: report.rank_at(0.1),
+        lambda: report.kernel_dim_at(0.5),
+        lambda: P.evaluate_level(v, 0.1),
+        lambda: P.evaluate_level(P.zero(), 0.1),
+        lambda: weight_basis(P, 2.0),
+        lambda: charge_filter(weight_basis(P, 2), currents=[H], charges=[0.0]),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert (K + RF_ONE).evaluate(Fraction(1, 10)) == Fraction(11, 10)
+    assert report.kernel_dim_at(1) == report.kernel_dim_at(Fraction(1)) == 1
+    assert P.evaluate_level(v, 3) == P.evaluate_level(v, Fraction(3))
+    assert len(weight_basis(P, 2)) == len(weight_basis(P, Fraction(2)))
 
 
 def _det3(m):
