@@ -5,6 +5,10 @@ the level k or the square root kappa (with k = kappa^2).  Values are kept
 in canonical form at all times: numerator and denominator coprime, the
 denominator monic, zero represented as 0/1.  Equality is therefore plain
 structural comparison.
+
+Parsed polynomials are bounded: an exponent, and the degree of every
+product formed while parsing, is at most MAX_PARSED_DEGREE; over it the
+parser raises LimitExceeded.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ class EvaluationAtPole(CoefficientError):
 
 class DivergesAtInfinity(CoefficientError):
     pass
+
+
+class LimitExceeded(CoefficientError):
+    """Parsed input over a documented size limit."""
+
+
+# largest exponent, and largest degree of any product, in parsed text
+MAX_PARSED_DEGREE = 200
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +124,11 @@ def pdivmod(p: Poly, q: Poly):
 
 
 def pgcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by Euclid's algorithm."""
-    while q:
-        p, q = q, pdivmod(p, q)[1]
-    return pmonic(p)
+    """Monic gcd over Q, computed over Z[k] by zgcd."""
+    if not p or not q:
+        return pmonic(p or q)
+    g = zgcd(zprimitive(p)[0], zprimitive(q)[0])[0]
+    return PONE if len(g) == 1 else pmonic(tuple(map(Fraction, g)))
 
 
 def pmonic(p: Poly) -> Poly:
@@ -147,10 +160,7 @@ def pcontent(coeffs) -> Fraction:
 
 def plcm(polys) -> Poly:
     """Monic least common multiple; the lcm of no polynomials is 1."""
-    out = PONE
-    for p in polys:
-        out = pdivmod(pmul(out, p), pgcd(out, p))[0]
-    return out
+    return pmonic(tuple(map(Fraction, _zlcm(polys))))
 
 
 def pprimitive(p: Poly) -> Poly:
@@ -239,6 +249,219 @@ def _rational_real_roots(p):
 
 
 # ---------------------------------------------------------------------------
+# Dense univariate polynomials over Z, as tuples of int (low degree first).
+# Every polynomial gcd is taken here, on primitive integer parts, and the
+# fraction-free elimination in linear keeps its rows in this form.
+
+# GCDHEU evaluation points tried before the Euclid fallback
+_HEURISTIC_TRIES = 6
+
+
+def zprimitive(p):
+    """(z, s) with p = s*z for a nonzero polynomial p over Q (Fraction or int
+    coefficients): z primitive over Z with a positive leading coefficient,
+    s a Fraction."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    cont = gcd(*ints)
+    if ints[-1] < 0:
+        cont = -cont
+    return tuple(x // cont for x in ints), Fraction(cont, den)
+
+
+def zmul(a, b):
+    """a*b for integer polynomials."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def zcombine(a, v, b, w):
+    """a*v - b*w for integer polynomials."""
+    out = [0] * (max(len(a) + len(v), len(b) + len(w)) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    for i, x in enumerate(b):
+        for j, y in enumerate(w):
+            out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def zquo(a, b):
+    """a/b for integer polynomials when b divides a over Z[k], else None."""
+    if not a:
+        return ()
+    db = len(b) - 1
+    if len(a) <= db or (b[0] and a[0] % b[0]) or (a[0] and not b[0]):
+        return None
+    rem = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return tuple(quo) if not any(rem[:db]) else None
+
+
+def zgcd(a, b):
+    """gcd over Z[k] of two nonzero integer polynomials, with the cofactors:
+    (g, a/g, b/g), g primitive with a positive leading coefficient.
+
+    The heuristic gcd answers almost always; when it gives up, Euclid's
+    algorithm over Q is the proven fallback."""
+    pa, ca = _zsplit(a)
+    pb, cb = _zsplit(b)
+    if len(pa) == 1 or len(pb) == 1:
+        g, qa, qb = (1,), pa, pb
+    else:
+        g, qa, qb = _heuristic_gcd(pa, pb) or _euclid_gcd(pa, pb)
+    if ca != 1:
+        qa = tuple(x * ca for x in qa)
+    if cb != 1:
+        qb = tuple(x * cb for x in qb)
+    return g, qa, qb
+
+
+def _zsplit(a):
+    """(primitive part with positive lead, signed integer content)."""
+    cont = gcd(*a)
+    if a[-1] < 0:
+        cont = -cont
+    return (a, 1) if cont == 1 else (tuple(x // cont for x in a), cont)
+
+
+def _heuristic_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet 1989, J. Symbolic Comput. 7) on two
+    primitive nonconstant integer polynomials: (g, a/g, b/g), or None.
+
+    Take an integer xi >= 2 min(|a|, |b|) + 2 (max norms) and write
+    gamma = gcd(a(xi), b(xi)) in symmetric xi-adic digits, the coefficients
+    of h with h(xi) = gamma.  If the primitive part H of h divides a and b,
+    it is their gcd G: G = H*Q, and G(xi) | gamma = c*H(xi) gives
+    Q(xi) | c, where the content c of h is at most xi/2.  Every root of Q is
+    a root of a and of b, so smaller than 1 + min(|a|, |b|) <= xi/2 in
+    modulus, and |Q(xi)| > (xi/2)^deg Q; so Q is constant.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        gamma = gcd(_zeval(a, xi), _zeval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        if len(digits) == 1:
+            return (1,), a, b
+        if digits:
+            g = _zsplit(digits)[0]
+            qa = zquo(a, g)
+            if qa is not None:
+                qb = zquo(b, g)
+                if qb is not None:
+                    return g, qa, qb
+        xi = xi * 73794 // 27011  # the next point, about 2.73 times larger
+    return None
+
+
+def _zeval(a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _euclid_gcd(a, b):
+    """The proven path: Euclid's algorithm over Q, then exact cofactors."""
+    p, q = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    g = zprimitive(p)[0]
+    return g, zquo(a, g), zquo(b, g)
+
+
+def _zlcm(polys):
+    """Primitive least common multiple over Z[k] of nonzero polynomials
+    over Q; the lcm of no polynomials is 1."""
+    out = (1,)
+    for p in polys:
+        if len(p) > 1:
+            out = zmul(out, zgcd(out, zprimitive(p)[0])[2])
+    return out
+
+
+def integer_row(row: dict):
+    """Clear the denominators of a row of nonzero RatFunc values.
+
+    Returns (den, out): den is the monic lcm of the denominators over Q,
+    and out maps each column to s*den*row[col] as an integer polynomial,
+    for one positive rational s common to the row.
+    """
+    dens = [v.den for v in row.values() if len(v.den) > 1]
+    if not dens:
+        den, polys = PONE, {c: v.num for c, v in row.items()}
+    else:
+        big = _zlcm(dens)
+        den = pmonic(tuple(map(Fraction, big)))
+        polys = {}
+        for c, v in row.items():
+            d = zprimitive(v.den)[0]
+            polys[c] = pmul(v.num, tuple(x * d[-1] for x in zquo(big, d)))
+    scale = lcm(*(x.denominator for v in polys.values() for x in v))
+    return den, {c: tuple(x.numerator * (scale // x.denominator) for x in v)
+                 for c, v in polys.items()}
+
+
+def _cancel(num: Poly, den: Poly):
+    """num/den over Q with their gcd divided out and den made monic; both
+    have positive degree."""
+    a, sa = zprimitive(num)
+    b, sb = zprimitive(den)
+    g, a, b = zgcd(a, b)
+    if len(g) == 1:
+        return num, den
+    lead = b[-1]
+    scale = sa / (sb * lead)
+    return tuple(x * scale for x in a), tuple(Fraction(x, lead) for x in b)
+
+
+def _add_over_z(x, y):
+    """x + y for RatFuncs with nonzero numerators and different denominators,
+    over Z[k]: with g the gcd of the denominators, the sum is
+    (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), then reduced."""
+    n1, s1 = zprimitive(x.num)
+    d1, t1 = zprimitive(x.den)
+    n2, s2 = zprimitive(y.num)
+    d2, t2 = zprimitive(y.den)
+    r1, r2 = s1 / t1, s2 / t2
+    b1, b2 = r1.denominator, r2.denominator
+    _, d1g, d2g = zgcd(d1, d2)
+    num = zcombine((r1.numerator * b2,), zmul(n1, d2g),
+                   (-r2.numerator * b1,), zmul(n2, d1g))
+    if not num:
+        return RF_ZERO
+    _, num, den = zgcd(num, zmul(d1, d2g))
+    lead = den[-1]
+    scale = b1 * b2 * lead
+    return RatFunc(tuple(Fraction(c, scale) for c in num),
+                   tuple(Fraction(c, lead) for c in den), _reduced=True)
+
+
+# ---------------------------------------------------------------------------
 # Rational functions
 
 
@@ -258,10 +481,8 @@ class RatFunc:
             if not num:
                 den = PONE
             else:
-                g = pgcd(num, den)
-                if pdeg(g) > 0:
-                    num = pdivmod(num, g)[0]
-                    den = pdivmod(den, g)[0]
+                if len(num) > 1 and len(den) > 1:
+                    num, den = _cancel(num, den)
                 lead = den[-1]
                 if lead != 1:
                     num = tuple(c / lead for c in num)
@@ -299,10 +520,19 @@ class RatFunc:
 
     def __add__(self, other):
         other = as_ratfunc(other)
-        if self.den == PONE and other.den == PONE:
-            return RatFunc(padd(self.num, other.num), PONE)
-        num = padd(pmul(self.num, other.den), pmul(other.num, self.den))
-        return RatFunc(num, pmul(self.den, other.den))
+        if self.den == other.den:
+            return RatFunc(padd(self.num, other.num), self.den)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if other.den == PONE:
+            self, other = other, self
+        if self.den == PONE:
+            # p + n/d = (p*d + n)/d is reduced when n/d is
+            num = padd(pmul(self.num, other.den), other.num)
+            return RatFunc(num, other.den, _reduced=True)
+        return _add_over_z(self, other)
 
     __radd__ = __add__
 
@@ -319,9 +549,13 @@ class RatFunc:
         other = as_ratfunc(other)
         if not self.num or not other.num:
             return RF_ZERO
+        if other.is_constant():
+            self, other = other, self
+        if self.is_constant():
+            # a nonzero constant factor keeps the form reduced
+            c = self.num[0]
+            return RatFunc(tuple(c * x for x in other.num), other.den, _reduced=True)
         if self.den == PONE and other.den == PONE:
-            if len(self.num) == 1 and len(other.num) == 1:
-                return RatFunc((self.num[0] * other.num[0],), PONE, _reduced=True)
             return RatFunc(pmul(self.num, other.num), PONE)
         return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
 
@@ -499,7 +733,12 @@ class _PolyParser:
             kind, val = self.peek()
             if (kind, val) == ("op", "*"):
                 self.take()
-                acc = pmul(acc, self.factor())
+                right = self.factor()
+                if pdeg(acc) + pdeg(right) > MAX_PARSED_DEGREE:
+                    raise LimitExceeded(
+                        f"a product exceeds the degree limit {MAX_PARSED_DEGREE}"
+                    )
+                acc = pmul(acc, right)
             elif (kind, val) == ("op", "/"):
                 # division by a rational constant only
                 self.take()
@@ -535,6 +774,10 @@ class _PolyParser:
             kind2, val2 = self.take()
             if kind2 != "num" or val2.denominator != 1:
                 raise CoefficientError("exponent must be a nonnegative integer")
+            if val2 > MAX_PARSED_DEGREE or pdeg(base) * val2 > MAX_PARSED_DEGREE:
+                raise LimitExceeded(
+                    f"exponent {val2} exceeds the degree limit {MAX_PARSED_DEGREE}"
+                )
             out = PONE
             for _ in range(int(val2)):
                 out = pmul(out, base)

@@ -12,6 +12,8 @@ A definition file is a single JSON document with optional sections:
 
 Constructor specs name built-in families with parameters, e.g.
 "affine:sl2@k", "betagamma:1", "tau:1"; "A * B" builds tensor products.
+A rank n is at most MAX_RANK, and a level obeys the degree limit of
+vertexalg.coefficients.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .lie import LieError, LiePresentation, builtin_lie, lie_from_constants
 
 class DefinitionError(VAError):
     pass
+
+
+# largest rank n in a "<family>:<n>" constructor spec
+MAX_RANK = 100
 
 
 def _lists(value, size=None) -> bool:
@@ -118,13 +124,16 @@ def _build_atom(spec: str, lie_table, param) -> VAPresentation:
             except LieError as exc:
                 raise DefinitionError(str(exc)) from exc
         return affine(lie, parse_ratfunc(level, param), param=param)
+    if head not in _RANK_BUILDERS and head not in ("tau", "sigma"):
+        raise DefinitionError(f"unknown constructor {head!r}")
+    rank = int(arg)
+    if rank > MAX_RANK:
+        raise DefinitionError(f"rank {rank} in {spec!r} exceeds the limit {MAX_RANK}")
     if head == "tau":
-        return tau_embedding(int(arg), param=param).target
+        return tau_embedding(rank, param=param).target
     if head == "sigma":
-        return sigma_embedding(int(arg), param=param).target
-    if head in _RANK_BUILDERS:
-        return _RANK_BUILDERS[head](int(arg), param=param)
-    raise DefinitionError(f"unknown constructor {head!r}")
+        return sigma_embedding(rank, param=param).target
+    return _RANK_BUILDERS[head](rank, param=param)
 
 
 class Definition:

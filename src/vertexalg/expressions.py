@@ -10,6 +10,9 @@ Grammar (whitespace-insensitive):
 
 ":a b c:" parses right-nested as :a (:b c:):.  Printing emits canonical
 sorted monomials in deterministic order and round-trips through the parser.
+A derivative order is at most MAX_DERIVATIVE_ORDER (the cost of D^n on a
+product grows like a power of n), and coefficients obey the degree limit of
+vertexalg.coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +20,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .coefficients import RF_ONE, RatFunc, format_ratfunc, parse_ratfunc
+from .coefficients import (
+    RF_ONE,
+    CoefficientError,
+    LimitExceeded,
+    RatFunc,
+    format_ratfunc,
+    parse_ratfunc,
+)
 from .core import Element, VAError, VAPresentation
+
+MAX_DERIVATIVE_ORDER = 32
 
 
 class ExprError(VAError):
@@ -123,11 +135,11 @@ class _Parser:
             ):
                 after = self._match_paren(after + 1) + 1
             if after < len(self.toks) and self.toks[after][:2] == ("sym", "*"):
-                from .coefficients import CoefficientError
-
                 text = self.text[start : self.toks[after - 1][3]]
                 try:
                     coeff = parse_ratfunc(text, self.pres.param)
+                except LimitExceeded:
+                    raise
                 except CoefficientError:
                     return None
                 self.pos = after + 1
@@ -177,10 +189,16 @@ class _Parser:
             if val == "D" and self.peek()[:2] == ("sym", "^"):
                 self.take()
                 order_tok = self.expect("int")
+                order = int(order_tok[1])
+                if order > MAX_DERIVATIVE_ORDER:
+                    raise ExprError(
+                        f"derivative order {order} exceeds the limit "
+                        f"{MAX_DERIVATIVE_ORDER}", order_tok[2],
+                    )
                 self.expect("sym", "(")
                 inner = self.element()
                 self.expect("sym", ")")
-                return inner.deriv(int(order_tok[1]))
+                return inner.deriv(order)
             if val not in self.pres.by_name:
                 raise ExprError(f"unknown generator {val!r}", start)
             return self.pres.gen(val)

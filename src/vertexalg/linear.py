@@ -7,14 +7,19 @@ One fraction-free elimination, PolySystem.eliminate (after Bareiss 1968,
 Math. Comp. 22), serves every parametric solve over Q(k): the commutant
 kernel, and through solve() the relation, pin and span solves, where the
 right-hand side is one extra column.  Rows have their denominators cleared
-and live in Z[k] as primitive rows of integer tuples.  In each column the
-pivot is the entry of lowest degree, ties going to the sparsest row
-(Markowitz 1957, Management Science 3) and then to the first one.
-Elimination works on a copy, so the input rows stay as built.  The pivot
-polynomials are reported over Q for nongeneric-level reporting, and the
-kernel vectors come back as RatFunc coordinates.  SolveReport.rank_at is
-deliberately a separate plain elimination over Q at a fixed level: it is
-the independent certificate for nongeneric levels.
+and live in Z[k] as primitive rows of integer tuples: every new row is
+divided by the gcd of its entries, taken in Z[k] by coefficients.zgcd, and
+by its integer content.  In each column the pivot is the entry of lowest
+degree, ties going to the sparsest row (Markowitz 1957, Management
+Science 3) and then to the first one.  Elimination works on a copy, so the
+input rows stay as built.  The pivot polynomials are reported over Q, and
+the kernel vectors come back as RatFunc coordinates.
+
+Nongeneric levels: away from the roots of the pivots, of the factors
+stripped from rows and of the cleared denominators, every elimination step
+stays valid at k = k0, so the rank can drop only at those roots.
+SolveReport.rank_at decides each candidate; it is deliberately a separate
+plain elimination over Q at a fixed level, the independent certificate.
 
 Commutant conditions accept "actions": either a weight-one current (all its
 nonnegative modes must kill the element) or a pair (current, derivation)
@@ -27,11 +32,10 @@ restriction to a free tensor factor is not inner.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 
 from .coefficients import (
     PONE,
-    PZERO,
     RF_ONE,
     RF_ZERO,
     RatFunc,
@@ -39,13 +43,15 @@ from .coefficients import (
     exact_scalar,
     format_poly,
     format_ratfunc,
+    integer_row,
     pdeg,
-    pdivmod,
-    pgcd,
     plcm,
-    pmul,
     pprimitive,
     rational_roots,
+    zcombine,
+    zgcd,
+    zprimitive,
+    zquo,
 )
 from .core import Element, VAError, VAPresentation
 
@@ -175,18 +181,22 @@ class PolySystem:
         self.ncols = ncols
         self.param = param
         self.rows = []  # list of dict col -> integer polynomial (tuple of int)
+        self.original_rows = []  # the rows as given, col -> RatFunc
         self.cleared_factors = []  # denominators cleared while building rows
+        # primitive gcds of positive degree divided out of a row, in add_row
+        # or during eliminate: the rank may drop at their roots
+        self.stripped_factors = set()
 
     def add_row(self, entries: dict):
         """entries: col -> RatFunc; the common denominator is cleared."""
         entries = {c: v for c, v in entries.items() if v}
         if not entries:
             return
-        den = plcm(v.den for v in entries.values())
+        self.original_rows.append(entries)
+        den, row = integer_row(entries)
         if pdeg(den) > 0:
             self.cleared_factors.append(den)
-        row = {c: pmul(v.num, pdivmod(den, v.den)[0]) for c, v in entries.items()}
-        self.rows.append(_strip_row(_integer_row(row)))
+        self.rows.append(self._strip_row(row))
 
     def eliminate(self):
         """Column-ordered echelon form; returns (rank, pivots, pivot data).
@@ -210,11 +220,32 @@ class PolySystem:
             pivot_polys.append(pprimitive(pentry))
             pivot_rows.append((col, prow))
             active = [
-                _strip_row(_combine_rows(pentry, row, row[col], prow))
+                self._strip_row(_combine_rows(pentry, row, row[col], prow))
                 if col in row else row
                 for row in active
             ]
         return len(pivot_rows), pivot_polys, pivot_rows
+
+    def _strip_row(self, row: dict) -> dict:
+        """Primitive part of a row over Z[k]: the row divided by the gcd of
+        its entries and by its positive integer content.  The gcd can have
+        positive degree only when no entry is a constant; it is recorded in
+        stripped_factors."""
+        if not row:
+            return row
+        if all(len(v) > 1 for v in row.values()):
+            g = None
+            for v in row.values():
+                g = v if g is None else zgcd(g, v)[0]
+                if len(g) == 1:
+                    break
+            if len(g) > 1:
+                self.stripped_factors.add(zprimitive(g)[0])
+                row = {c: zquo(v, g) for c, v in row.items()}
+        cont = gcd(*(x for v in row.values() for x in v))
+        if cont == 1:
+            return row
+        return {c: tuple(x // cont for x in v) for c, v in row.items()}
 
     def kernel(self, pivot_rows):
         """Kernel basis as RatFunc coordinate vectors, one per free column."""
@@ -288,56 +319,14 @@ def solve_span(columns, target):
     return solve([rows[M] for M in ordered], rhs, len(columns))
 
 
-def _integer_row(row: dict) -> dict:
-    """A row of Fraction polynomials times the lcm of its denominators."""
-    scale = lcm(*(x.denominator for v in row.values() for x in v))
-    return {c: tuple(x.numerator * (scale // x.denominator) for x in v)
-            for c, v in row.items()}
-
-
-def _strip_row(row: dict) -> dict:
-    """Primitive part of a row over Z[k]: the row divided by the gcd of its
-    entries and by its positive integer content.  The gcd can have positive
-    degree only when no entry is a constant."""
-    if not row:
-        return row
-    if all(len(v) > 1 for v in row.values()):
-        frac = {c: tuple(map(Fraction, v)) for c, v in row.items()}
-        g = PZERO
-        for v in frac.values():
-            g = pgcd(g, v) if g else v
-            if pdeg(g) == 0:
-                break
-        if pdeg(g) > 0:
-            row = _integer_row({c: pdivmod(v, g)[0] for c, v in frac.items()})
-    cont = gcd(*(x for v in row.values() for x in v))
-    if cont == 1:
-        return row
-    return {c: tuple(x // cont for x in v) for c, v in row.items()}
-
-
 def _combine_rows(a, row: dict, b, prow: dict) -> dict:
     """The row a*row - b*prow over Z[k], without its zero entries."""
     out = {}
     for c in row.keys() | prow.keys():
-        p = _zcombine(a, row.get(c, ()), b, prow.get(c, ()))
+        p = zcombine(a, row.get(c, ()), b, prow.get(c, ()))
         if p:
             out[c] = p
     return out
-
-
-def _zcombine(a, v, b, w):
-    """a*v - b*w for integer polynomials (tuples, low degree first)."""
-    out = [0] * (max(len(a) + len(v), len(b) + len(w)) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(v):
-            out[i + j] += x * y
-    for i, x in enumerate(b):
-        for j, y in enumerate(w):
-            out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +468,6 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
         if current is not None and P.weight_of(current) != 1:
             raise LinearError("commutant currents must have weight one")
     system = PolySystem(len(basis), param=P.param)
-    original = []
     nmax = int(ceil(w)) if w > 0 else 0
     # rows are indexed by (action, n, target monomial)
     for a_idx, (current, derivation) in enumerate(actions):
@@ -491,10 +479,7 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
                 for T, c in image.data.items():
                     rows.setdefault(T, {})[col] = c
             for T in sorted(rows):
-                entries = rows[T]
-                original.append(dict(entries))
-                system.add_row(entries)
-    system.original_rows = original
+                system.add_row(rows[T])
     return system
 
 
@@ -617,24 +602,24 @@ class NongenericReport:
 
 
 def nongeneric_levels(report: SolveReport) -> NongenericReport:
-    """Rational roots of pivot polynomials and kernel-coordinate denominators.
+    """Rational roots of pivot polynomials, of the factors stripped from rows
+    and of kernel-coordinate denominators.
 
-    Each root is certified when the kernel dimension provably changes at that
-    level (by an exact rank computation), otherwise listed as a candidate.
+    Away from these roots and the poles (roots of cleared denominators)
+    every elimination step stays valid at k = k0, so the rank cannot drop
+    there.  Each root is certified when the kernel dimension provably
+    changes at that level (by an exact rank computation), otherwise listed
+    as a candidate.
     """
     candidates = set()
     factors = []
-    for p in report.pivot_polys:
+    stripped = [pprimitive(f) for f in sorted(report.system.stripped_factors)]
+    for p in report.pivot_polys + report.coordinate_denominators() + stripped:
         if pdeg(p) > 0:
             roots, cofactor = rational_roots(p)
             candidates.update(roots)
             if pdeg(cofactor) > 0 and cofactor not in factors:
                 factors.append(cofactor)
-    for den in report.coordinate_denominators():
-        roots, cofactor = rational_roots(den)
-        candidates.update(roots)
-        if pdeg(cofactor) > 0 and cofactor not in factors:
-            factors.append(cofactor)
     poles = set()
     for den in report.system.cleared_factors:
         roots, _ = rational_roots(den)

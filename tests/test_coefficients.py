@@ -6,15 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from vertexalg import coefficients
 from vertexalg.coefficients import (
     DivergesAtInfinity,
     EvaluationAtPole,
     RatFunc,
     ZeroDenominator,
     format_ratfunc,
+    padd,
     parse_poly,
     parse_ratfunc,
+    pgcd,
+    pmul,
+    pneg,
     rational_roots,
+    zgcd,
+    zmul,
 )
 
 K = RatFunc.param()
@@ -169,3 +176,166 @@ def _power(x, n):
     for _ in range(n):
         out = out * x
     return out
+
+
+# ---------------------------------------------------------------------------
+# gcd over Z[k] against a test-local Euclid over Q
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def _rem(p, q):
+    p = list(p)
+    while len(p) >= len(q):
+        c = Fraction(p[-1]) / q[-1]
+        for i, b in enumerate(q):
+            p[len(p) - len(q) + i] -= c * b
+        p = list(_trim(p))
+    return tuple(p)
+
+
+def _quo(p, q):
+    """p / q over Q when q divides p."""
+    p, out = list(p), [Fraction(0)] * (len(p) - len(q) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = Fraction(p[i + len(q) - 1]) / q[-1]
+        for j, b in enumerate(q):
+            p[i + j] -= out[i] * b
+    assert not any(p)
+    return _trim(out)
+
+
+def _monic(p):
+    return tuple(Fraction(c) / p[-1] for c in p) if p else ()
+
+
+def euclid_gcd(p, q):
+    """Monic gcd over Q by Euclid's algorithm."""
+    while q:
+        p, q = q, _rem(p, q)
+    return _monic(p)
+
+
+def _random_factor(rng, big):
+    deg = rng.randint(0, 3)
+    bound = 10 ** 40 if big else 6
+    coeffs = [rng.randint(-bound, bound) for _ in range(deg + 1)]
+    coeffs[-1] = coeffs[-1] or 1
+    if not big and rng.random() < 0.5:
+        coeffs = [Fraction(c, rng.randint(1, 5)) for c in coeffs]
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def _gcd_pairs(seed, count=150):
+    """Seeded pairs (g*a, g*b): Fraction and huge integer coefficients,
+    repeated factors, negative leading coefficients, constants and zeros."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        big = rng.random() < 0.3
+        g = _random_factor(rng, big)
+        if rng.random() < 0.3:
+            g = pmul(g, g)  # a repeated factor
+        a, b = _random_factor(rng, big), _random_factor(rng, big)
+        if rng.random() < 0.3:
+            b = pmul(b, a)  # a divides b
+        p, q = pmul(g, a), pmul(g, b)
+        pick = rng.random()
+        if pick < 0.05:
+            p = ()
+        elif pick < 0.1:
+            p = (Fraction(rng.choice((-3, 7))),)
+        yield p, q
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pgcd_matches_euclid(seed):
+    for p, q in _gcd_pairs(seed):
+        assert pgcd(p, q) == euclid_gcd(p, q), (p, q)
+        assert pgcd(q, p) == euclid_gcd(p, q), (p, q)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pgcd_fallback_matches_euclid(seed, monkeypatch):
+    # the heuristic gives up every time: the Euclid fallback answers alone
+    monkeypatch.setattr(coefficients, "_heuristic_gcd", lambda a, b: None)
+    for p, q in _gcd_pairs(seed):
+        assert pgcd(p, q) == euclid_gcd(p, q), (p, q)
+
+
+def test_zgcd_cofactors_and_heuristic_rate():
+    answered = total = 0
+    for p, q in _gcd_pairs(4):
+        if len(p) < 2 or len(q) < 2:
+            continue
+        a, b = (coefficients.zprimitive(x)[0] for x in (p, q))
+        a = tuple(-3 * x for x in a)  # a content and a negative sign
+        g, qa, qb = zgcd(a, b)
+        assert g[-1] > 0 and _monic(g) == euclid_gcd(p, q)
+        assert zmul(g, qa) == a and zmul(g, qb) == b
+        total += 1
+        answered += coefficients._heuristic_gcd(*(coefficients.zprimitive(x)[0]
+                                                  for x in (p, q))) is not None
+    # the heuristic gcd is the fast path, not an occasional one
+    assert answered >= 0.9 * total
+
+
+def _reference(num, den):
+    """num/den reduced by the test-local Euclid, denominator monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = euclid_gcd(num, den)
+    num, den = _quo(num, g), _quo(den, g)
+    lead = den[-1]
+    return tuple(c / lead for c in num), tuple(c / lead for c in den)
+
+
+# factors shared by the operands of a chain, so that reductions cancel
+_POOL = [
+    (Fraction(1), Fraction(1)), (Fraction(-2), Fraction(1)), (Fraction(3), Fraction(2)),
+    (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1)),
+    (Fraction(3), Fraction(10 ** 40)), (Fraction(1, 3), Fraction(-5, 7)),
+]
+
+
+def _pool_product(rng):
+    out = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.choice((1, 40))),
+                    rng.randint(1, 9)),)
+    for _ in range(rng.randint(0, 2)):
+        out = pmul(out, rng.choice(_POOL))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ratfunc_chains_match_reference(seed):
+    # seeded + - * / chains; the reference combines num and den unreduced,
+    # then reduces by the test-local Euclid
+    rng = random.Random(seed)
+    one = ((Fraction(1),), (Fraction(1),))
+    value, ref = RatFunc.const(1), one
+    for _ in range(60):
+        num, den = _pool_product(rng), _pool_product(rng)
+        operand = RatFunc(num, den)
+        assert (operand.num, operand.den) == _reference(num, den)
+        n1, d1 = ref
+        op = rng.choice("+-*/")
+        if op == "+":
+            value = value + operand
+            ref = padd(pmul(n1, den), pmul(num, d1)), pmul(d1, den)
+        elif op == "-":
+            value = value - operand
+            ref = padd(pmul(n1, den), pneg(pmul(num, d1))), pmul(d1, den)
+        elif op == "*":
+            value = value * operand
+            ref = pmul(n1, num), pmul(d1, den)
+        else:
+            value = value / operand
+            ref = pmul(n1, den), pmul(d1, num)
+        ref = _reference(*ref)
+        assert (value.num, value.den) == ref
+        if not value or len(value.num) + len(value.den) > 10:
+            value, ref = RatFunc.const(1), one

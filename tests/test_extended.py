@@ -2,8 +2,8 @@
 
 The weight-8 decoupling of the osp(1|2)/sp2 coset checks the next
 multiplier in the family, with root pattern -4i/(2i-1); the solve takes
-about four minutes (234 s under Python 3.11 on a 2-vCPU host) and is not
-part of acceptance.
+about three quarters of a minute (45 s under Python 3.11 on a 2-vCPU host)
+and is not part of acceptance.
 """
 
 import os

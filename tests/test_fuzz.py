@@ -1,12 +1,17 @@
 """Seeded fuzzing of the CLI inputs: definition files and the expression grammar.
 
 Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
-a message, never with a traceback.
+a message, never with a traceback.  Numbers over the parsers' size limits
+(derivative order, exponent and degree, rank) end with 2 within a second.
 """
 
 import copy
 import json
 import random
+import re
+import time
+
+import pytest
 
 from vertexalg.cli import main
 
@@ -126,3 +131,76 @@ def test_expression_strings_exit_cleanly(capsys):
     capsys.readouterr()
     assert set(codes) <= {0, 2}
     assert codes.count(0) > 100 and codes.count(2) > 100
+
+
+HUGE = ["100000000", "1000000", "10000"]
+
+
+def _enlarge(text, rng):
+    """Put one huge number into an expression: a derivative order, an
+    exponent in a coefficient, or a power of a coefficient."""
+    huge = rng.choice(HUGE)
+    action = rng.randrange(3)
+    if action == 0 and re.search(r"D\^\d+", text):
+        return re.sub(r"D\^\d+", f"D^{huge}", text, count=1)
+    if action == 1:
+        return f"(k^{huge})*({text})"
+    return f"((k + 1)^{huge})*({text})"
+
+
+def _timed_main(args):
+    t0 = time.perf_counter()
+    code = main(args)
+    return code, time.perf_counter() - t0
+
+
+def test_huge_numbers_exit_quickly(capsys):
+    rng = random.Random(20240603)
+    slow = []
+    for _ in range(300):
+        algebra = rng.choice(sorted(ALGEBRAS))
+        text = _enlarge(_expression(ALGEBRAS[algebra], rng), rng)
+        code, seconds = _timed_main(["normal-form", "--algebra", algebra, f"--expr={text}"])
+        assert code == 2, text
+        if seconds > 1:
+            slow.append((text, seconds))
+    for spec in ("heisenberg:100000000", "betagamma:1000000", "bc:10000",
+                 "affine:sl2@k^1000000", "affine:sl2@(k+1)^10000"):
+        code, seconds = _timed_main(["normal-form", "--algebra", spec, "--expr=1"])
+        assert code == 2, spec
+        if seconds > 1:
+            slow.append((spec, seconds))
+    assert not slow
+    assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--algebra", "heisenberg:1", "--expr=D^33(a1)"], 2),
+    (["--algebra", "heisenberg:1", "--expr=D^32(a1)"], 0),
+    (["--algebra", "heisenberg:1", "--expr=(k^201)*a1"], 2),
+    (["--algebra", "heisenberg:1", "--expr=(k^200)*a1"], 0),
+    (["--algebra", "heisenberg:1", "--expr=(k^150*k^51)*a1"], 2),
+    (["--algebra", "heisenberg:1", "--expr=((k^2)^101)*a1"], 2),
+    (["--algebra", "heisenberg:101", "--expr=1"], 2),
+    (["--algebra", "heisenberg:100", "--expr=a100"], 0),
+])
+def test_limits_are_exact(args, code, capsys):
+    got, seconds = _timed_main(["normal-form"] + args)
+    assert got == code and seconds < 1
+    if code == 2:
+        assert "limit" in capsys.readouterr().err
+
+
+def test_huge_numbers_in_definition_files(tmp_path, capsys):
+    for put in (
+        lambda doc: doc.__setitem__("algebra", "affine:my_sl2@k * heisenberg:100000000"),
+        lambda doc: doc["elements"].__setitem__("Gp", "D^100000000(:Xp b:)"),
+        lambda doc: doc["currents"].__setitem__("J", "(k^1000000)*H - :b c:"),
+    ):
+        doc = copy.deepcopy(DEFINITION)
+        put(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, seconds = _timed_main(["define", "--file", str(path)])
+        assert code == 2 and seconds < 1
+        assert "limit" in capsys.readouterr().err

@@ -77,3 +77,14 @@ def test_no_unused_imports():
         unused += [f"{module}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_no_private_imports_across_modules():
+    # a helper shared between modules gets a public name
+    private = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                private += [f"{module}:{node.lineno} {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"private names imported from another module: {private}"

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from vertexalg.coefficients import RF_ONE, RF_ZERO, RatFunc, pdivmod, pmul, pprimitive
+from vertexalg.coefficients import (
+    RF_ONE,
+    RF_ZERO,
+    RatFunc,
+    pdivmod,
+    pprimitive,
+    rational_roots,
+)
 from vertexalg.constructions import (
     affine,
     bc_system,
@@ -212,10 +219,10 @@ def test_pivot_divides_maximal_minor():
     dense = []
     for r in rows:
         sys_.add_row(r)
-        dense.append([r.get(c, RatFunc.const(0)).num for c in range(3)])
+        dense.append([r.get(c, RF_ZERO) for c in range(3)])
     rank, pivots, _ = sys_.eliminate()
     assert rank == 3
-    det = _det3(dense)
+    det = _det(dense).num
     for p in pivots:
         quot, rem = pdivmod(pprimitive(det), pprimitive(p))
         assert rem == ()
@@ -285,7 +292,7 @@ def test_random_sparse_systems(seed):
     system = PolySystem(ncols)
     for row in rows:
         system.add_row(row)
-    system.original_rows = rows
+    assert system.original_rows == rows
     rank, pivots, pivot_rows = system.eliminate()
     kernel = system.kernel(pivot_rows)
     assert rank + len(kernel) == ncols
@@ -318,6 +325,84 @@ def test_certified_nongeneric_levels(lie, currents, weight, certified):
     assert nongeneric_levels(report).certified == certified
 
 
+def _report(rows, ncols):
+    system = PolySystem(ncols)
+    for row in rows:
+        system.add_row(row)
+    rank, pivots, pivot_rows = system.eliminate()
+    return SolveReport(None, 0, None, rank, pivots, system.kernel(pivot_rows), system)
+
+
+@pytest.mark.parametrize("rows, ncols, certified", [
+    # rows {0: 1, 1: 1} and {0: 1, 1: 1 + k}: k is stripped during eliminate
+    ([{0: RF_ONE, 1: RF_ONE}, {0: RF_ONE, 1: K + RF_ONE}], 2, {Fraction(0): (0, 1)}),
+    # the single row {0: k, 1: k}: k is stripped in add_row
+    ([{0: K, 1: K}], 2, {Fraction(0): (1, 2)}),
+])
+def test_stripped_factors_are_certified(rows, ncols, certified):
+    report = _report(rows, ncols)
+    assert report.system.stripped_factors == {(0, 1)}
+    assert nongeneric_levels(report).certified == certified
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    total = RF_ZERO
+    for j, entry in enumerate(m[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            total = total + (entry if j % 2 == 0 else -entry) * _det(minor)
+    return total
+
+
+def _minor_gcd_roots(dense):
+    """Rational roots of the gcd of the nonzero maximal minors: exactly the
+    levels where the rank of a polynomial matrix drops."""
+    from itertools import combinations
+
+    from test_coefficients import euclid_gcd
+
+    nrows, ncols = len(dense), len(dense[0])
+    for size in range(min(nrows, ncols), 0, -1):
+        g = ()
+        for rs in combinations(range(nrows), size):
+            for cs in combinations(range(ncols), size):
+                d = _det([[dense[r][c] for c in cs] for r in rs])
+                g = euclid_gcd(g, d.num) if g else d.num
+        if g:
+            return set(rational_roots(g)[0]) if len(g) > 1 else set()
+    return set()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_certificate_matches_minor_gcd(seed):
+    # rows g(k)*row with g a product of linear factors, so that gcds are
+    # stripped; some rows are combinations of earlier ones
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+    dense = []
+    for _ in range(nrows):
+        if len(dense) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(dense, 2)
+            row = [x + y * RatFunc.const(rng.randint(-2, 2)) for x, y in zip(a, b)]
+        else:
+            row = [RF_ZERO] * ncols
+            for c in rng.sample(range(ncols), rng.randint(1, ncols)):
+                row[c] = K * RatFunc.const(rng.randint(-2, 2)) + RatFunc.const(rng.randint(-2, 2))
+        g = RF_ONE
+        for _ in range(rng.randint(0, 2)):
+            g = g * (K - RatFunc.const(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        row = [x * g for x in row]
+        if any(row):
+            dense.append(row)
+    if not dense:
+        return
+    report = _report([{c: v for c, v in enumerate(row) if v} for row in dense], ncols)
+    assert set(nongeneric_levels(report).certified) == _minor_gcd_roots(dense)
+
+
 def test_levels_and_weights_are_exact():
     P = affine(builtin_lie("sl2"), K)
     H = P.gen("H")
@@ -338,18 +423,6 @@ def test_levels_and_weights_are_exact():
     assert report.kernel_dim_at(1) == report.kernel_dim_at(Fraction(1)) == 1
     assert P.evaluate_level(v, 3) == P.evaluate_level(v, Fraction(3))
     assert len(weight_basis(P, 2)) == len(weight_basis(P, Fraction(2)))
-
-
-def _det3(m):
-    from vertexalg.coefficients import padd, psub
-
-    def mul(a, b):
-        return pmul(a, b)
-
-    term1 = mul(m[0][0], psub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    term2 = mul(m[0][1], psub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
-    term3 = mul(m[0][2], psub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    return padd(psub(term1, term2), term3)
 
 
 def test_find_relation_sl3_family():
