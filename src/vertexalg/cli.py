@@ -2,6 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 a check or computation reports failure,
 2 usage or input errors.
+
+The cost of a solve grows steeply with its weight, so the weight of
+commutant and nongeneric (--weight) and of the find-relation target is at
+most MAX_SOLVE_WEIGHT; over it the command exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .coefficients import CoefficientError
-from .core import VAError
+from .coefficients import CoefficientError, LimitExceeded
 from .deffiles import CONSTRUCTOR_SPECS, DefinitionError, build_algebra, load_definition
 from .expressions import format_element, parse_element
-from .lie import LieError, builtin_names
+from .lie import builtin_names
 from .linear import (
     commutant_basis,
     find_relation,
@@ -23,6 +26,21 @@ from .linear import (
     Obstruction,
 )
 from .suites import SUITES, run_suite
+
+
+# largest weight of a commutant, nongeneric or find-relation solve
+MAX_SOLVE_WEIGHT = 12
+
+
+def _solve_weight(w):
+    """The weight of a solve, a number or the text of one, within the limit."""
+    try:
+        w = Fraction(w)
+    except ZeroDivisionError:
+        raise ValueError(f"weight {w!r} divides by zero") from None
+    if w > MAX_SOLVE_WEIGHT:
+        raise LimitExceeded(f"weight {w} exceeds the solve-weight limit {MAX_SOLVE_WEIGHT}")
+    return w
 
 
 def _load_algebra(spec: str):
@@ -125,9 +143,10 @@ def _parse_actions(P, definition, text):
 
 
 def cmd_commutant(args) -> int:
+    weight = _solve_weight(args.weight)
     P, definition = _load_algebra(args.algebra)
     currents = _parse_actions(P, definition, args.currents)
-    report = commutant_basis(P, currents, Fraction(args.weight))
+    report = commutant_basis(P, currents, weight)
     payload = report.serialize()
     payload["kernel_elements"] = [format_element(v) for v in report.kernel_elements()]
     lines = [
@@ -143,12 +162,13 @@ def cmd_commutant(args) -> int:
 def cmd_find_relation(args) -> int:
     P, definition = _load_algebra(args.algebra)
     target = _resolve(P, definition, args.target)
+    weight = _solve_weight(P.weight_of(target))
     gens = [
         _resolve(P, definition, part)
         for part in args.generators.split(";")
         if part.strip()
     ]
-    rel = find_relation(P, target, gens)
+    rel = find_relation(P, target, gens, weight)
     if isinstance(rel, Obstruction):
         _emit(
             args,
@@ -172,9 +192,10 @@ def cmd_find_relation(args) -> int:
 
 
 def cmd_nongeneric(args) -> int:
+    weight = _solve_weight(args.weight)
     P, definition = _load_algebra(args.algebra)
     currents = _parse_actions(P, definition, args.currents)
-    report = commutant_basis(P, currents, Fraction(args.weight))
+    report = commutant_basis(P, currents, weight)
     ng = nongeneric_levels(report)
     payload = ng.serialize()
     lines = [
@@ -274,10 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DefinitionError, CoefficientError, VAError, LieError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (CoefficientError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

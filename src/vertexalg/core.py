@@ -289,10 +289,12 @@ class VAPresentation:
         for M, c in data.items():
             for slot in range(len(M)):
                 raised = M[:slot] + ((M[slot][0], M[slot][1] + 1),) + M[slot + 1 :]
-                _add_data(out, self._canon_factors(raised), c)
+                _add_data(out, self.canon_factors(raised), c)
         return _clean(out)
 
-    def _canon_factors(self, factors) -> dict:
+    # -- public operations -------------------------------------------------------
+
+    def canon_factors(self, factors) -> dict:
         """Canonical form of a right-nested word of single factors."""
         if _is_canonical(factors, self):
             return {tuple(factors): RF_ONE}
@@ -300,8 +302,6 @@ class VAPresentation:
         for f in reversed(factors):
             data = self._nprod_mono_data((f,), data, -1)
         return data
-
-    # -- public operations -------------------------------------------------------
 
     def nprod(self, x: "Element", y: "Element", n: int) -> "Element":
         self._require(x, y)

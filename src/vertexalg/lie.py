@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coefficients import Rational
+from .coefficients import Rational, qsolve
 
 
 class LieError(ValueError):
@@ -160,24 +160,14 @@ class LiePresentation:
     # -- derived data -------------------------------------------------------
 
     def gram_inverse(self):
+        """Inverse of the Gram matrix G[i][j] = B(xi_i, xi_j), from G X = I."""
         n = self.dim
-        aug = [
-            [Fraction(self.form[i][j]) for j in range(n)]
-            + [Fraction(1 if j == i else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise LieError("form is degenerate")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [c * inv for c in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+        rows = [{**dict(enumerate(self.form[i])), n + i: Fraction(1)} for i in range(n)]
+        rank, solutions = qsolve(rows, n)
+        if rank < n:
+            raise LieError("form is degenerate")
+        # the solution for right-hand side n + j is column j of the inverse
+        return [[solutions[n + j][i] for j in range(n)] for i in range(n)]
 
     def dual_basis(self):
         """Coordinate vectors xi'_i with B(xi'_i, xi_j) = delta_{ij}."""
@@ -303,52 +293,32 @@ def _mat_add_scaled(a, b, c):
 def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
     """Even Lie algebra spanned by given matrices, trace form times form_scale.
 
-    Structure constants are obtained by expanding commutators in the span;
-    the matrices must be linearly independent and closed under commutator.
+    Structure constants come from expanding every commutator in the span,
+    all in one elimination over Q.  The matrices must be linearly
+    independent and closed under commutator; LieError says which fails.
     """
     dim = len(matrices)
     size = len(matrices[0])
-    flat = [[m[i][j] for i in range(size) for j in range(size)] for m in matrices]
-
-    def expand(mat):
-        target = [mat[i][j] for i in range(size) for j in range(size)]
-        # solve sum_m c_m flat[m] = target by Gaussian elimination
-        cols = dim
-        rows = len(target)
-        aug = [[flat[m][r] for m in range(cols)] + [target[r]] for r in range(rows)]
-        coeffs = [Fraction(0)] * cols
-        r = 0
-        pivots = []
-        for c in range(cols):
-            piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = 1 / aug[r][c]
-            aug[r] = [v * inv for v in aug[r]]
-            for i in range(rows):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        for row_i, c in enumerate(pivots):
-            coeffs[c] = aug[row_i][cols]
-        # consistency
-        check = [Fraction(0)] * rows
-        for m in range(cols):
-            if coeffs[m]:
-                for i in range(rows):
-                    check[i] += coeffs[m] * flat[m][i]
-        if check != target:
-            raise LieError("commutator not in the span of the basis")
-        return {m: c for m, c in enumerate(coeffs) if c}
-
-    brackets = {}
+    cells = [(r, s) for r in range(size) for s in range(size)]
+    # one row per matrix entry; the unknowns are coordinates in the basis,
+    # and the commutator [x_i, x_j] is right-hand side dim * (i + 1) + j
+    rows = [{m: mat[r][s] for m, mat in enumerate(matrices)} for r, s in cells]
     for i in range(dim):
         for j in range(dim):
             comm = _mat_sub(_mat_mul(matrices[i], matrices[j]), _mat_mul(matrices[j], matrices[i]))
-            comp = expand(comm)
+            for row, (r, s) in zip(rows, cells):
+                row[dim * (i + 1) + j] = comm[r][s]
+    rank, solutions = qsolve(rows, dim)
+    if rank < dim:
+        raise LieError("matrices are linearly dependent")
+    brackets = {}
+    for i in range(dim):
+        for j in range(dim):
+            # a zero commutator occurs in no row, so solutions has no entry
+            coords = solutions.get(dim * (i + 1) + j, ())
+            if coords is None:
+                raise LieError("commutator not in the span of the basis")
+            comp = {m: c for m, c in enumerate(coords) if c}
             if comp:
                 brackets[(i, j)] = comp
     form = [

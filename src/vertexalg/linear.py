@@ -18,8 +18,10 @@ the kernel vectors come back as RatFunc coordinates.
 Nongeneric levels: away from the roots of the pivots, of the factors
 stripped from rows and of the cleared denominators, every elimination step
 stays valid at k = k0, so the rank can drop only at those roots.
-SolveReport.rank_at decides each candidate; it is deliberately a separate
-plain elimination over Q at a fixed level, the independent certificate.
+SolveReport.rank_at decides each candidate with coefficients.qsolve, the
+one elimination over Q, on the rows evaluated at k = k0.  qsolve shares no
+code with PolySystem.eliminate or the Z[k] helpers, so its rank is an
+independent certificate.
 
 Commutant conditions accept "actions": either a weight-one current (all its
 nonnegative modes must kill the element) or a pair (current, derivation)
@@ -46,7 +48,9 @@ from .coefficients import (
     integer_row,
     pdeg,
     plcm,
+    pmonic,
     pprimitive,
+    qsolve,
     rational_roots,
     zcombine,
     zgcd,
@@ -359,7 +363,7 @@ def apply_derivation(P: VAPresentation, derivation: dict, x: Element) -> Element
             img = img.deriv(d)
             for N, c2 in img.data.items():
                 word = M[:slot] + tuple(N) + M[slot + 1 :]
-                for W, c3 in P._canon_factors(word).items():
+                for W, c3 in P.canon_factors(word).items():
                     key = W
                     val = coeff * c2 * c3
                     out[key] = out.get(key, RF_ZERO) + val
@@ -401,16 +405,9 @@ class SolveReport:
 
     def rank_at(self, k0) -> int:
         k0 = exact_scalar(k0)
-        rows = []
-        for row in self.system.original_rows:
-            out = {}
-            for col, v in row.items():
-                val = v.evaluate(k0)
-                if val:
-                    out[col] = val
-            if out:
-                rows.append(out)
-        return _fraction_rank(rows, self.system.ncols)
+        rows = [{col: v.evaluate(k0) for col, v in row.items()}
+                for row in self.system.original_rows]
+        return qsolve(rows, self.system.ncols)[0]
 
     def kernel_dim_at(self, k0) -> int:
         return self.system.ncols - self.rank_at(k0)
@@ -430,33 +427,6 @@ class SolveReport:
                 for vec in self.kernel_vectors
             ],
         }
-
-
-def _fraction_rank(rows, ncols) -> int:
-    rank = 0
-    rows = [dict(r) for r in rows]
-    for col in range(ncols):
-        piv = None
-        for i, r in enumerate(rows):
-            if r.get(col):
-                piv = i
-                break
-        if piv is None:
-            continue
-        prow = rows.pop(piv)
-        rank += 1
-        pval = prow[col]
-        for r in rows:
-            ev = r.get(col)
-            if ev:
-                f = ev / pval
-                for c, v in prow.items():
-                    nv = r.get(c, Fraction(0)) - f * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-    return rank
 
 
 def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
@@ -611,19 +581,11 @@ def nongeneric_levels(report: SolveReport) -> NongenericReport:
     changes at that level (by an exact rank computation), otherwise listed
     as a candidate.
     """
-    candidates = set()
-    factors = []
     stripped = [pprimitive(f) for f in sorted(report.system.stripped_factors)]
-    for p in report.pivot_polys + report.coordinate_denominators() + stripped:
-        if pdeg(p) > 0:
-            roots, cofactor = rational_roots(p)
-            candidates.update(roots)
-            if pdeg(cofactor) > 0 and cofactor not in factors:
-                factors.append(cofactor)
-    poles = set()
-    for den in report.system.cleared_factors:
-        roots, _ = rational_roots(den)
-        poles.update(roots)
+    candidates, factors = _distinct_roots(
+        report.pivot_polys + report.coordinate_denominators() + stripped
+    )
+    poles, _ = _distinct_roots(report.system.cleared_factors)
     certified = {}
     remaining = set()
     generic = report.kernel_dim
@@ -636,6 +598,23 @@ def nongeneric_levels(report: SolveReport) -> NongenericReport:
         else:
             remaining.add(k0)
     return NongenericReport(certified, remaining, poles, factors)
+
+
+def _distinct_roots(polys):
+    """Rational roots of the nonconstant polynomials, found once for each
+    distinct one up to a scalar factor.
+
+    Returns (roots, cofactors): the set of all the roots, and the distinct
+    root-free cofactors of positive degree in the order first found.
+    """
+    roots = set()
+    cofactors = []
+    for p in dict.fromkeys(pmonic(p) for p in polys if pdeg(p) > 0):
+        found, cofactor = rational_roots(p)
+        roots.update(found)
+        if pdeg(cofactor) > 0 and cofactor not in cofactors:
+            cofactors.append(cofactor)
+    return roots, cofactors
 
 
 # ---------------------------------------------------------------------------
@@ -841,11 +820,9 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
             f"{rel.combined_rank}"
         )
     roots, cofactor = rel.multiplier_roots()
-    poles = set()
-    for elem in [target] + [e for _, e in words]:
-        for c in elem.data.values():
-            if pdeg(c.den) > 0:
-                poles.update(rational_roots(c.den)[0])
+    poles, _ = _distinct_roots(
+        c.den for elem in [target] + [e for _, e in words] for c in elem.data.values()
+    )
     return DecouplingReport(
         w, com.kernel_dim, len(words), target, rel, roots, cofactor, poles
     )

@@ -1,5 +1,6 @@
 """Field arithmetic in Q(k): canonical forms, evaluation, limits, roots."""
 
+import copy
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from vertexalg.coefficients import (
     pgcd,
     pmul,
     pneg,
+    qsolve,
     rational_roots,
     zgcd,
     zmul,
@@ -339,3 +341,75 @@ def test_ratfunc_chains_match_reference(seed):
         assert (value.num, value.den) == ref
         if not value or len(value.num) + len(value.den) > 10:
             value, ref = RatFunc.const(1), one
+
+
+def _dense_rank(rows, ncols):
+    """Reference rank of the first ncols columns: dense Gauss-Jordan over Q."""
+    m = [[row.get(c, Fraction(0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _sparse_rows(rng, nrows, ncols):
+    """Random sparse rows, some of them combinations of two earlier rows;
+    returns the rows and the indices of the combinations."""
+    rows, dependent = [], []
+    for j in range(nrows):
+        if j >= 2 and rng.random() < 0.3:
+            row = {}
+            for i in rng.sample(range(j), 2):
+                c = _random_fraction(rng)
+                for col, v in rows[i].items():
+                    row[col] = row.get(col, 0) + c * v
+            dependent.append(j)
+        else:
+            row = {c: _random_fraction(rng) for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols)))}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, dependent
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_qsolve_planted_systems(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 7)
+    rows, dependent = _sparse_rows(rng, rng.randint(1, 9), ncols)
+    rank = _dense_rank(rows, ncols)
+    assert qsolve(rows, ncols) == (rank, {})
+    # right-hand sides b = A x0 are consistent; adding 1 to b at a row that
+    # is a combination of other rows makes the system inconsistent
+    rhs = range(ncols, ncols + 4)
+    inconsistent = set()
+    for b in rhs:
+        x0 = [_random_fraction(rng) for _ in range(ncols)]
+        for row in rows:
+            row[b] = sum(v * x0[c] for c, v in row.items() if c < ncols)
+        if dependent and rng.random() < 0.5:
+            rows[rng.choice(dependent)][b] += 1
+            inconsistent.add(b)
+    before = copy.deepcopy(rows)
+    got, solutions = qsolve(rows, ncols)
+    assert rows == before and got == rank
+    pivots = {c for c in range(ncols) if _dense_rank(rows, c + 1) > _dense_rank(rows, c)}
+    for b in rhs:
+        if b in inconsistent:
+            assert solutions[b] is None
+            continue
+        x = solutions.get(b, [0] * ncols)
+        assert all(sum(v * x[c] for c, v in row.items() if c < ncols) == row[b]
+                   for row in rows)
+        assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
+    assert set(solutions) <= set(rhs)

@@ -1,8 +1,8 @@
 """Seeded fuzzing of the CLI inputs: definition files and the expression grammar.
 
 Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
-a message, never with a traceback.  Numbers over the parsers' size limits
-(derivative order, exponent and degree, rank) end with 2 within a second.
+a message, never with a traceback.  Numbers over the size limits (derivative
+order, exponent and degree, rank, solve weight) end with 2 within a second.
 """
 
 import copy
@@ -170,22 +170,40 @@ def test_huge_numbers_exit_quickly(capsys):
         assert code == 2, spec
         if seconds > 1:
             slow.append((spec, seconds))
+    solve = ["--algebra", "heisenberg:1", "--currents", "a1", "--weight"]
+    for args in (["commutant"] + solve + ["1e3"],
+                 ["commutant"] + solve + ["100000000"],
+                 ["nongeneric"] + solve + ["60"],
+                 ["find-relation", "--algebra", "heisenberg:1",
+                  "--target", ":D^16(a1) D^16(a1):", "--generators", "a1"]):
+        code, seconds = _timed_main(args)
+        assert code == 2, args
+        if seconds > 1:
+            slow.append((args, seconds))
     assert not slow
     assert "limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, code", [
-    (["--algebra", "heisenberg:1", "--expr=D^33(a1)"], 2),
-    (["--algebra", "heisenberg:1", "--expr=D^32(a1)"], 0),
-    (["--algebra", "heisenberg:1", "--expr=(k^201)*a1"], 2),
-    (["--algebra", "heisenberg:1", "--expr=(k^200)*a1"], 0),
-    (["--algebra", "heisenberg:1", "--expr=(k^150*k^51)*a1"], 2),
-    (["--algebra", "heisenberg:1", "--expr=((k^2)^101)*a1"], 2),
-    (["--algebra", "heisenberg:101", "--expr=1"], 2),
-    (["--algebra", "heisenberg:100", "--expr=a100"], 0),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=D^33(a1)"], 2),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=D^32(a1)"], 0),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=(k^201)*a1"], 2),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=(k^200)*a1"], 0),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=(k^150*k^51)*a1"], 2),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr=((k^2)^101)*a1"], 2),
+    (["normal-form", "--algebra", "heisenberg:101", "--expr=1"], 2),
+    (["normal-form", "--algebra", "heisenberg:100", "--expr=a100"], 0),
+    (["commutant", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "13"], 2),
+    (["commutant", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "12"], 0),
+    (["nongeneric", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "25/2"], 2),
+    (["nongeneric", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "12"], 0),
+    (["find-relation", "--algebra", "heisenberg:1", "--target", ":D^5(a1) D^6(a1):",
+      "--generators", "a1"], 2),
+    (["find-relation", "--algebra", "heisenberg:1", "--target", ":D^5(a1) D^5(a1):",
+      "--generators", "a1"], 0),
 ])
 def test_limits_are_exact(args, code, capsys):
-    got, seconds = _timed_main(["normal-form"] + args)
+    got, seconds = _timed_main(args)
     assert got == code and seconds < 1
     if code == 2:
         assert "limit" in capsys.readouterr().err

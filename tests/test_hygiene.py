@@ -2,7 +2,9 @@
 
 Every private module-level function and private method must be referenced
 somewhere in the package outside its own body, and every import must be used
-in the module that makes it (names listed in __all__ count as used).
+in the module that makes it (names listed in __all__ count as used).  No
+module imports a private name from another one or reads a private attribute
+that another module defines.
 """
 
 import ast
@@ -88,3 +90,32 @@ def test_no_private_imports_across_modules():
                 private += [f"{module}:{node.lineno} {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert not private, f"private names imported from another module: {private}"
+
+
+def _private_names_defined(tree):
+    """Private names a module defines: functions, methods, classes, and the
+    names and attributes it assigns."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_private_attributes_across_modules():
+    # x._name, for x other than self, where only another module defines _name
+    trees = _trees()
+    defined = {module: _private_names_defined(tree) for module, tree in trees.items()}
+    private = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(names for m, names in defined.items() if m != module))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in elsewhere
+                    and node.attr not in defined[module]
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                private.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    assert not private, f"private attributes of another module: {private}"

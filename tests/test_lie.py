@@ -9,6 +9,7 @@ from vertexalg.lie import (
     NotSimpleError,
     builtin_lie,
     lie_from_constants,
+    lie_from_matrices,
 )
 
 
@@ -115,3 +116,26 @@ def test_dual_coxeter_values():
 def test_casimir_not_scalar_on_gl2():
     with pytest.raises(NotSimpleError):
         builtin_lie("gl(2)").dual_coxeter()
+
+
+def _unit(i, j):
+    return [[Fraction(int((r, c) == (i, j))) for c in range(2)] for r in range(2)]
+
+
+def test_matrices_not_closed():
+    # [E12, E21] = E11 - E22 is not in the span of E12 and E21
+    with pytest.raises(LieError, match="not in the span"):
+        lie_from_matrices(["E12", "E21"], [_unit(0, 1), _unit(1, 0)])
+
+
+def test_matrices_linearly_dependent():
+    twice = [[2 * c for c in row] for row in _unit(0, 1)]
+    with pytest.raises(LieError, match="linearly dependent"):
+        lie_from_matrices(["E12", "F"], [_unit(0, 1), twice])
+
+
+def test_degenerate_form():
+    # abelian with the zero form: valid, but it has no dual basis
+    L = lie_from_constants([("a", "even"), ("b", "even")], {}, [[0, 0], [0, 0]])
+    with pytest.raises(LieError, match="form is degenerate"):
+        L.dual_basis()
