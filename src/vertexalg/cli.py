@@ -5,7 +5,9 @@ Exit codes: 0 all checks pass, 1 a check or computation reports failure,
 
 The cost of a solve grows steeply with its weight, so the weight of
 commutant and nongeneric (--weight) and of the find-relation target is at
-most MAX_SOLVE_WEIGHT; over it the command exits 2 with a message.
+most MAX_SOLVE_WEIGHT; over it the command exits 2 with a message.  Since
+a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct is at least
+-(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .coefficients import CoefficientError, LimitExceeded
 from .deffiles import CONSTRUCTOR_SPECS, DefinitionError, build_algebra, load_definition
-from .expressions import format_element, parse_element
+from .expressions import MAX_DERIVATIVE_ORDER, format_element, parse_element
 from .lie import builtin_names
 from .linear import (
     commutant_basis,
@@ -116,6 +118,11 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_nproduct(args) -> int:
+    if args.n < -(MAX_DERIVATIVE_ORDER + 1):
+        raise LimitExceeded(
+            f"--n {args.n} is below -{MAX_DERIVATIVE_ORDER + 1}: a_(-k-1) b takes D^k a, "
+            f"and the derivative order limit is {MAX_DERIVATIVE_ORDER}"
+        )
     P, definition = _load_algebra(args.algebra)
     left = _resolve(P, definition, args.left)
     right = _resolve(P, definition, args.right)

@@ -17,6 +17,13 @@ this basis with the standard identities:
 
 Sorted monomials form a PBW-type basis, so reduced forms are unique and
 equality is structural.
+
+Every product of two monomials is computed once, in the memo of
+VAPresentation._prod.  Derivatives live there too: the divided power
+D^k M / k! is the entry M_(-k-1) 1, built from the entry for k - 1, so
+`derivative`, `Element.deriv` and the products a_(-k-1) b all read it.
+`check()` computes each lambda-bracket of two generators once and reads it
+for both skew-symmetry and Jacobi.
 """
 
 from __future__ import annotations
@@ -146,22 +153,27 @@ class VAPresentation:
         if not M:
             return {N: RF_ONE} if n == -1 else {}
         if not N:
-            if n >= 0:
-                return {}
+            if n >= -1:
+                return {M: RF_ONE} if n == -1 else {}
+            # the divided power D^k M / k! = D(D^(k-1) M / (k-1)!) / k; the
+            # missing lower powers are filled in from the highest one in the
+            # memo upwards, so the recursion depth does not grow with k
             k = -n - 1
-            data = {M: RF_ONE}
-            for _ in range(k):
-                data = self._derive_data(data)
-            return _scaled(data, RatFunc.const(Fraction(1, factorial(k))))
+            j = k - 1
+            while j and (M, (), -j - 1) not in self._memo:
+                j -= 1
+            for i in range(j, k):
+                prev = self._prod(M, (), -i - 1)
+            out = {}
+            for R, c in prev.items():
+                for slot in range(len(R)):
+                    raised = R[:slot] + ((R[slot][0], R[slot][1] + 1),) + R[slot + 1 :]
+                    _add_data(out, self.canon_factors(raised), c)
+            return _scaled(out, RatFunc.const(Fraction(1, k)))
         if self.mono_weight(M) + self.mono_weight(N) - n - 1 < 0:
             return {}
         if n <= -2:
-            k = -n - 1
-            data = {M: RF_ONE}
-            for _ in range(k):
-                data = self._derive_data(data)
-            data = _scaled(data, RatFunc.const(Fraction(1, factorial(k))))
-            return self._no_data_mono(data, N)
+            return self._nprod_data_mono(self._prod(M, (), n), N, -1)
         if n >= 0:
             if len(M) == 1:
                 return self._prod_single_nonneg(M, N, n)
@@ -181,7 +193,7 @@ class VAPresentation:
             (h, e) = N[0]
             if e > 0:
                 base = ((h, e - 1),)
-                out = self._derive_data(self._prod(M, base, n))
+                out = self._nprod_data_mono(self._prod(M, base, n), (), -2)
                 if n:
                     _add_data(out, self._prod(M, base, n - 1), RatFunc.const(n))
                 return _clean(out)
@@ -195,10 +207,10 @@ class VAPresentation:
         out = {}
         ab = self._prod(M, b, n)
         if ab:
-            _add_data(out, self._no_data_mono(ab, rest), RF_ONE)
+            _add_data(out, self._nprod_data_mono(ab, rest, -1), RF_ONE)
         arest = self._prod(M, rest, n)
         if arest:
-            _add_data(out, self._no_mono_data(b, arest), RatFunc.const(sign))
+            _add_data(out, self._nprod_mono_data(b, arest, -1), RatFunc.const(sign))
         for m in range(n):
             amb = self._prod(M, b, m)
             if amb:
@@ -253,7 +265,7 @@ class VAPresentation:
         sign = -1 if (pa and pb) else 1
         swapped = self._prod((a,), rest, -1)
         if swapped:
-            _add_data(out, self._no_mono_data((b,), swapped), RatFunc.const(sign))
+            _add_data(out, self._nprod_mono_data((b,), swapped, -1), RatFunc.const(sign))
         wt_ab = self.gen_weight(a[0]) + a[1] + self.gen_weight(b[0]) + b[1]
         i = 0
         while wt_ab - i - 1 >= 0:
@@ -276,20 +288,6 @@ class VAPresentation:
         out = {}
         for M, c in data.items():
             _add_data(out, self._prod(M, N, n), c)
-        return _clean(out)
-
-    def _no_data_mono(self, data, N) -> dict:
-        return self._nprod_data_mono(data, N, -1)
-
-    def _no_mono_data(self, M, data) -> dict:
-        return self._nprod_mono_data(M, data, -1)
-
-    def _derive_data(self, data) -> dict:
-        out = {}
-        for M, c in data.items():
-            for slot in range(len(M)):
-                raised = M[:slot] + ((M[slot][0], M[slot][1] + 1),) + M[slot + 1 :]
-                _add_data(out, self.canon_factors(raised), c)
         return _clean(out)
 
     # -- public operations -------------------------------------------------------
@@ -334,12 +332,9 @@ class VAPresentation:
             cs.pop()
         return LambdaPoly(self, cs)
 
-    def derivative(self, x: "Element") -> "Element":
-        self._require(x)
-        out = {}
-        for M, c in x.data.items():
-            _add_data(out, self._derive_data({M: RF_ONE}), c)
-        return Element(self, _clean(out))
+    def derivative(self, x: "Element", times=1) -> "Element":
+        """D^times x = times! x_(-times-1) 1, read from the divided powers."""
+        return self.nprod(x, self.vacuum(), -times - 1) * factorial(times)
 
     def evaluate_level(self, x: "Element", k0) -> "Element":
         self._require(x)
@@ -387,69 +382,57 @@ class VAPresentation:
     # -- consistency checks -----------------------------------------------------------
 
     def check(self) -> "PresentationReport":
-        """Verify skew-symmetry on generator pairs and Jacobi on triples."""
+        """Verify skew-symmetry on generator pairs and Jacobi on triples.
+
+        Each bracket of two generators is computed once and read by both.
+        """
+        ids = range(self.ngen)
+        gens = [self.gen(i) for i in ids]
+        names = [g.name for g in self.generators]
+        br = {(i, j): self.lambda_bracket(gens[i], gens[j]) for i in ids for j in ids}
         failures = []
-        gens = [self.gen(i) for i in range(self.ngen)]
-        for i in range(self.ngen):
-            for j in range(self.ngen):
-                if not self._skew_ok(i, j):
-                    failures.append(
-                        ("skew", (self.generators[i].name, self.generators[j].name))
-                    )
-        for i in range(self.ngen):
-            for j in range(self.ngen):
-                for m in range(self.ngen):
-                    bad = self._jacobi_fail(gens[i], gens[j], gens[m])
+        for i in ids:
+            for j in ids:
+                sign = -1 if (self.gen_parity(i) and self.gen_parity(j)) else 1
+                if not self._skew_ok(br[i, j], br[j, i], sign):
+                    failures.append(("skew", (names[i], names[j])))
+        for i in ids:
+            for j in ids:
+                for m in ids:
+                    bad = self._jacobi_fail(gens[i], gens[j], gens[m],
+                                            br[i, j], br[i, m], br[j, m])
                     if bad is not None:
-                        failures.append(
-                            (
-                                "jacobi",
-                                (
-                                    self.generators[i].name,
-                                    self.generators[j].name,
-                                    self.generators[m].name,
-                                )
-                                + bad,
-                            )
-                        )
+                        failures.append(("jacobi", (names[i], names[j], names[m]) + bad))
         return PresentationReport(self, failures)
 
-    def _skew_ok(self, i, j) -> bool:
-        a = self.gen(i)
-        b = self.gen(j)
-        sign = -1 if (self.gen_parity(i) and self.gen_parity(j)) else 1
-        wa = self.gen_weight(i)
-        wb = self.gen_weight(j)
-        top = int(wa + wb) + 1
-        for n in range(top + 1):
-            # b_(n) a = -(-1)^{p(a)p(b)} sum_j (-1)^{n+j} d^j(a_(n+j) b) / j!
+    def _skew_ok(self, ab, ba, sign) -> bool:
+        # b_(n) a = -(-1)^{p(a)p(b)} sum_j (-1)^{n+j} D^j(a_(n+j) b) / j!,
+        # where D^j x / j! = x_(-j-1) 1
+        one = self.vacuum()
+        for n in range(max(ab.order(), ba.order())):
             expected = self.zero()
-            jj = 0
-            while wa + wb - (n + jj) - 1 >= 0:
-                term = self.nprod(a, b, n + jj)
-                for _ in range(jj):
-                    term = self.derivative(term)
-                s = Fraction((-1) ** (n + jj), factorial(jj)) * (-sign)
-                expected = expected + term * RatFunc.const(s)
-                jj += 1
-            if self.nprod(b, a, n) != expected:
+            for j in range(ab.order() - n):
+                term = self.nprod(ab.c(n + j), one, -j - 1)
+                expected = expected + term * ((-1) ** (n + j) * -sign)
+            if ba.c(n) != expected:
                 return False
         return True
 
-    def _jacobi_fail(self, a, b, c):
-        pa = self.parity_of(a)
-        pb = self.parity_of(b)
-        sign = -1 if (pa and pb) else 1
+    def _jacobi_fail(self, a, b, c, ab, ac, bc):
+        # a_(m)(b_(n) c) - (-1)^{p(a)p(b)} b_(n)(a_(m) c)
+        #   = sum_i C(m, i) (a_(i) b)_(m+n-i) c,
+        # with each (a_(i) b)_(j) c computed once
+        sign = -1 if (self.parity_of(a) and self.parity_of(b)) else 1
         top = int(self.weight_of(a) + self.weight_of(b) + self.weight_of(c)) + 1
+        abc = {}
         for m in range(top):
             for n in range(top):
-                lhs = self.nprod(a, self.nprod(b, c, n), m) - self.nprod(
-                    b, self.nprod(a, c, m), n
-                ) * RatFunc.const(sign)
+                lhs = self.nprod(a, bc.c(n), m) - self.nprod(b, ac.c(m), n) * sign
                 rhs = self.zero()
                 for i in range(m + 1):
-                    term = self.nprod(self.nprod(a, b, i), c, m + n - i)
-                    rhs = rhs + term * RatFunc.const(comb(m, i))
+                    if (i, m + n - i) not in abc:
+                        abc[i, m + n - i] = self.nprod(ab.c(i), c, m + n - i)
+                    rhs = rhs + abc[i, m + n - i] * comb(m, i)
                 if lhs != rhs:
                     return (m, n)
         return None
@@ -608,10 +591,7 @@ class Element:
         return self.pres.lambda_bracket(self, other)
 
     def deriv(self, times=1) -> "Element":
-        out = self
-        for _ in range(times):
-            out = self.pres.derivative(out)
-        return out
+        return self.pres.derivative(self, times)
 
     def weight(self) -> Fraction:
         return self.pres.weight_of(self)

@@ -207,9 +207,42 @@ def test_check_presentation_detects_sign_error():
     gens = [Generator(0, "beta", 0, Fraction(1, 2)), Generator(1, "gamma", 0, Fraction(1, 2))]
     table = {(0, 1): ({(): RF_ONE},), (1, 0): ({(): RF_ONE},)}
     bad = VAPresentation(gens, table, name="bad-bg")
-    rep = bad.check()
-    assert not rep.ok
-    assert any(kind == "skew" for kind, _ in rep.failures)
+    assert bad.check().failures == [("skew", ("beta", "gamma")), ("skew", ("gamma", "beta"))]
+
+
+def test_check_presentation_detects_jacobi_error():
+    # [Xp_lambda Xm] = 3H + lambda k and [Xm_lambda Xp] = -3H + lambda k keep
+    # skew-symmetry but break Jacobi on every triple of distinct generators
+    P = affine(builtin_lie("sl2"), K)
+    table = dict(P.table)
+    table[(1, 2)] = ({((0, 0),): RatFunc.const(3)}, {(): K})
+    table[(2, 1)] = ({((0, 0),): RatFunc.const(-3)}, {(): K})
+    bad = VAPresentation(P.generators, table, name="bad-sl2")
+    assert bad.check().failures == [
+        ("jacobi", ("H", "Xp", "Xm", 1, 0)),
+        ("jacobi", ("H", "Xm", "Xp", 1, 0)),
+        ("jacobi", ("Xp", "H", "Xm", 0, 1)),
+        ("jacobi", ("Xp", "Xm", "H", 0, 1)),
+        ("jacobi", ("Xm", "H", "Xp", 0, 1)),
+        ("jacobi", ("Xm", "Xp", "H", 0, 1)),
+    ]
+
+
+def test_divided_powers():
+    # one call to derivative(x, t) is t single derivatives
+    for P in (affine(builtin_lie("sl2"), K), affine(builtin_lie("osp(1|2)"), K),
+              beta_gamma(1)):
+        rng = random.Random(41)
+        for _ in range(6):
+            x = _random_element(P, rng, max_weight=2)
+            t = rng.randint(0, 6)
+            step = x
+            for _ in range(t):
+                step = P.derivative(step)
+            assert P.derivative(x, t) == step == x.deriv(t)
+            assert x.deriv(0) == x
+    # the powers are built bottom-up, so a high order needs no deep recursion
+    assert heisenberg(1).gen(0).deriv(1000).data == {((0, 1000),): RF_ONE}
 
 
 def test_derivation_rule():
@@ -353,10 +386,13 @@ def test_memoized_products_are_never_mutated():
         P = affine(builtin_lie(name), K)
         gens = [P.gen(i) for i in range(P.ngen)]
         L = sugawara(P)
+        composite = gens[0].no(gens[1].no(gens[-1]))
         for x in gens + [L]:
             for y in gens:
                 P.lambda_bracket(x, y)
                 P.normal_order(y, x)
+        L.deriv(4)
+        composite.deriv(4)
         assert P.check().ok
         before = copy.deepcopy(P._memo)
         H = P.gen(cartan)
@@ -367,6 +403,8 @@ def test_memoized_products_are_never_mutated():
         for _ in range(30):
             x = P.element({rng.choice(monos): 1})
             P.lambda_bracket(x, P.element({rng.choice(monos): K}))
+        assert L.deriv(4) == L.deriv(2).deriv(2)
+        assert composite.deriv(5) == composite.deriv(4).deriv()
         assert len(P._memo) > len(before)
         assert all(P._memo[key] == value for key, value in before.items())
 

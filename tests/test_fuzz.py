@@ -2,7 +2,8 @@
 
 Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
 a message, never with a traceback.  Numbers over the size limits (derivative
-order, exponent and degree, rank, solve weight) end with 2 within a second.
+order and the n of nproduct, exponent and degree, rank, solve weight) end
+with 2 within a second.
 """
 
 import copy
@@ -175,7 +176,9 @@ def test_huge_numbers_exit_quickly(capsys):
                  ["commutant"] + solve + ["100000000"],
                  ["nongeneric"] + solve + ["60"],
                  ["find-relation", "--algebra", "heisenberg:1",
-                  "--target", ":D^16(a1) D^16(a1):", "--generators", "a1"]):
+                  "--target", ":D^16(a1) D^16(a1):", "--generators", "a1"],
+                 ["nproduct", "--algebra", "heisenberg:1", "--n=-100000000",
+                  "--left", "a1", "--right", "a1"]):
         code, seconds = _timed_main(args)
         assert code == 2, args
         if seconds > 1:
@@ -201,6 +204,8 @@ def test_huge_numbers_exit_quickly(capsys):
       "--generators", "a1"], 2),
     (["find-relation", "--algebra", "heisenberg:1", "--target", ":D^5(a1) D^5(a1):",
       "--generators", "a1"], 0),
+    (["nproduct", "--algebra", "heisenberg:1", "--n=-33", "--left", "a1", "--right", "a1"], 0),
+    (["nproduct", "--algebra", "heisenberg:1", "--n=-34", "--left", "a1", "--right", "a1"], 2),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)

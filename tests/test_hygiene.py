@@ -4,7 +4,7 @@ Every private module-level function and private method must be referenced
 somewhere in the package outside its own body, and every import must be used
 in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
-that another module defines.
+that another module defines.  No private function only forwards to a method.
 """
 
 import ast
@@ -119,3 +119,19 @@ def test_no_private_attributes_across_modules():
                     and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
                 private.append(f"{module}:{node.lineno} {ast.unparse(node)}")
     assert not private, f"private attributes of another module: {private}"
+
+
+def test_no_private_forwarding_wrappers():
+    # a private function whose whole body, docstring aside, is one
+    # `return self.<name>(...)`: its callers call the method directly
+    wrappers = []
+    for module, tree in _trees().items():
+        for fn in _private_defs(tree):
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"):
+                wrappers.append(f"{module}:{fn.lineno} {fn.name}")
+    assert not wrappers, f"private functions that only forward: {wrappers}"
