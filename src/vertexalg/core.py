@@ -29,7 +29,7 @@ for both skew-symmetry and Jacobi.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc, exact_scalar
 
@@ -187,8 +187,11 @@ class VAPresentation:
     def _prod_single_nonneg(self, M, N, n) -> dict:
         (g, d) = M[0]
         if d > 0:
-            inner = self._prod(((g, d - 1),), N, n - 1)
-            return _scaled(inner, RatFunc.const(-n)) if n else {}
+            # (D^d a)_(n) b = (-1)^d n!/(n-d)! a_(n-d) b, zero for d > n
+            if d > n:
+                return {}
+            scale = RatFunc.const((-1) ** d * perm(n, d))
+            return _scaled(self._prod(((g, 0),), N, n - d), scale)
         if len(N) == 1:
             (h, e) = N[0]
             if e > 0:

@@ -3,7 +3,7 @@
 import copy
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -82,6 +82,15 @@ def test_negative_products_are_derivatives():
     lhs = H.nprod(a, a, -3)
     rhs = H.gen(0, 2).no(a) * RatFunc.const(Fraction(1, 2))
     assert lhs == rhs
+
+
+def test_deep_negative_product_needs_no_deep_recursion():
+    # (D^d a)_(n) b is reduced to a_(n-d) b in one step, not d nested calls
+    H = heisenberg(1)
+    a = H.gen(0)
+    assert H.nprod(a, a, -1000).data == {
+        ((0, 0), (0, 999)): RatFunc.const(Fraction(1, factorial(999)))
+    }
 
 
 def test_lambda_bracket_heisenberg():

@@ -5,6 +5,7 @@ somewhere in the package outside its own body, and every import must be used
 in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
 that another module defines.  No private function only forwards to a method.
+The Fock oracle shares no product logic with the engine it checks.
 """
 
 import ast
@@ -135,3 +136,24 @@ def test_no_private_forwarding_wrappers():
                     and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"):
                 wrappers.append(f"{module}:{fn.lineno} {fn.name}")
     assert not wrappers, f"private functions that only forward: {wrappers}"
+
+
+def test_fock_oracle_stays_independent_of_the_engine():
+    # the oracle checks the rewriting engine, so it shares none of its
+    # product logic: from core it takes only the error type and the
+    # presentation's data, and it calls nprod only to get the answer it checks
+    tree = _trees()["fock.py"]
+    imports = {(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names}
+    assert imports == {("core", "VAError"), ("core", "VAPresentation")}
+    checks = [fn for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "check_product"]
+    assert len(checks) == 1
+    inside = _referenced_names(checks[0]).get("nprod", 0)
+    assert inside and _referenced_names(tree).get("nprod", 0) == inside
+    forbidden = {"_prod", "canon_factors", "derivative", "lambda_bracket",
+                 "normal_order", "mono_weight"}
+    named = set(_referenced_names(tree)) | {
+        node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not named & forbidden, sorted(named & forbidden)
