@@ -1,8 +1,8 @@
 """Builders for the free-field and affine algebras and their named elements.
 
-Every constructor attaches the standard conformal vector (when one exists)
-as presentation metadata, and the embedding constructors return images that
-carry a machine-checked homomorphism certificate.
+The free field algebras share one builder, and `free_field_conformal` derives
+their standard conformal vector from the pairing; the embedding constructors
+return images that carry a machine-checked homomorphism certificate.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .coefficients import (
     RatFunc,
     as_ratfunc,
     parse_ratfunc,
+    qsolve,
 )
 from .core import EVEN, ODD, Element, Generator, VAError, VAPresentation
 from .lie import LiePresentation, builtin_lie
@@ -43,19 +44,36 @@ def _vac(c) -> dict:
 # Free field algebras
 
 
+def _free_field(name, names, parity, weight, pairing, param) -> VAPresentation:
+    """Generators of one parity and weight with [x_i lambda x_j] =
+    lambda^(2 wt - 1) s for each (i, j): s of the pairing, all others zero."""
+    gens = [Generator(i, x, parity, weight) for i, x in enumerate(names)]
+    lower = ({},) * (int(2 * Fraction(weight)) - 1)
+    table = {key: lower + (_vac(s),) for key, s in pairing.items()}
+    return VAPresentation(gens, table, param=param, name=name)
+
+
+def _pair_names(n: int, x: str, y: str) -> list:
+    """x1..xn, y1..yn, or just x, y at rank one."""
+    if n == 1:
+        return [x, y]
+    return [f"{x}{i+1}" for i in range(n)] + [f"{y}{i+1}" for i in range(n)]
+
+
+def _paired(n: int, s, t) -> dict:
+    """The pairing of x_i with y_i: (x_i, y_i) -> s and (y_i, x_i) -> t."""
+    pairing = {}
+    for i in range(n):
+        pairing[(i, n + i)] = s
+        pairing[(n + i, i)] = t
+    return pairing
+
+
 def heisenberg(n: int, param="k") -> VAPresentation:
     """H(n): even weight-1 generators with [a^i_lambda a^j] = delta_ij lambda."""
     _check_rank(n)
-    gens = [Generator(i, f"a{i+1}", EVEN, 1) for i in range(n)]
-    table = {(i, i): ({}, _vac(1)) for i in range(n)}
-    P = VAPresentation(gens, table, param=param, name=f"H({n})")
-    L = P.zero()
-    half = RatFunc.const(Fraction(1, 2))
-    for i in range(n):
-        L = L + P.gen(i).no(P.gen(i)) * half
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(n)
-    return P
+    names = [f"a{i+1}" for i in range(n)]
+    return _free_field(f"H({n})", names, EVEN, 1, {(i, i): 1 for i in range(n)}, param)
 
 
 def heisenberg_pairs(n: int, names=None, param="k") -> VAPresentation:
@@ -63,101 +81,74 @@ def heisenberg_pairs(n: int, names=None, param="k") -> VAPresentation:
     _check_rank(n)
     if names is None:
         names = [f"a{i+1}" for i in range(n)] + [f"abar{i+1}" for i in range(n)]
-    gens = [Generator(i, names[i], EVEN, 1) for i in range(2 * n)]
-    table = {}
-    for i in range(n):
-        table[(i, n + i)] = ({}, _vac(1))
-        table[(n + i, i)] = ({}, _vac(1))
-    P = VAPresentation(gens, table, param=param, name=f"Hpair({n})")
-    L = P.zero()
-    for i in range(n):
-        L = L + P.gen(i).no(P.gen(n + i))
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(2 * n)
-    return P
+    names = [names[i] for i in range(2 * n)]
+    return _free_field(f"Hpair({n})", names, EVEN, 1, _paired(n, 1, 1), param)
 
 
 def free_fermion(n: int, param="k") -> VAPresentation:
     """F(n): odd weight-1/2 generators with [phi^i_lambda phi^j] = delta_ij."""
     _check_rank(n)
-    gens = [Generator(i, f"phi{i+1}", ODD, Fraction(1, 2)) for i in range(n)]
-    table = {(i, i): (_vac(1),) for i in range(n)}
-    P = VAPresentation(gens, table, param=param, name=f"F({n})")
-    L = P.zero()
-    mhalf = RatFunc.const(Fraction(-1, 2))
-    for i in range(n):
-        L = L + P.gen(i).no(P.gen(i, 1)) * mhalf
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(Fraction(n, 2))
-    return P
+    names = [f"phi{i+1}" for i in range(n)]
+    pairing = {(i, i): 1 for i in range(n)}
+    return _free_field(f"F({n})", names, ODD, Fraction(1, 2), pairing, param)
 
 
 def bc_system(n: int, param="k") -> VAPresentation:
     """E(n): odd b^i, c^i of weight 1/2 with first-order pairing."""
     _check_rank(n)
-    names = []
-    for i in range(n):
-        names.append(f"b{i+1}" if n > 1 else "b")
-    for i in range(n):
-        names.append(f"c{i+1}" if n > 1 else "c")
-    gens = [Generator(i, names[i], ODD, Fraction(1, 2)) for i in range(2 * n)]
-    table = {}
-    for i in range(n):
-        table[(i, n + i)] = (_vac(1),)
-        table[(n + i, i)] = (_vac(1),)
-    P = VAPresentation(gens, table, param=param, name=f"E({n})")
-    L = P.zero()
-    half = RatFunc.const(Fraction(1, 2))
-    for i in range(n):
-        L = L + (P.gen(i, 1).no(P.gen(n + i)) + P.gen(n + i, 1).no(P.gen(i))) * half
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(n)
-    return P
+    names = _pair_names(n, "b", "c")
+    return _free_field(f"E({n})", names, ODD, Fraction(1, 2), _paired(n, 1, 1), param)
 
 
 def beta_gamma(n: int, param="k") -> VAPresentation:
     """S(n): even beta^i, gamma^i of weight 1/2, [beta_l gamma] = 1 = -[gamma_l beta]."""
     _check_rank(n)
-    names = []
-    for i in range(n):
-        names.append(f"beta{i+1}" if n > 1 else "beta")
-    for i in range(n):
-        names.append(f"gamma{i+1}" if n > 1 else "gamma")
-    gens = [Generator(i, names[i], EVEN, Fraction(1, 2)) for i in range(2 * n)]
-    table = {}
-    for i in range(n):
-        table[(i, n + i)] = (_vac(1),)
-        table[(n + i, i)] = (_vac(-1),)
-    P = VAPresentation(gens, table, param=param, name=f"S({n})")
-    L = P.zero()
-    half = RatFunc.const(Fraction(1, 2))
-    for i in range(n):
-        L = L + (P.gen(i).no(P.gen(n + i, 1)) - P.gen(i, 1).no(P.gen(n + i))) * half
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(-n)
-    return P
+    names = _pair_names(n, "beta", "gamma")
+    return _free_field(f"S({n})", names, EVEN, Fraction(1, 2), _paired(n, 1, -1), param)
 
 
 def symplectic_fermion(n: int, param="k") -> VAPresentation:
     """A(n): odd e^i, f^i of weight 1 with second-order pairing."""
     _check_rank(n)
-    names = []
-    for i in range(n):
-        names.append(f"e{i+1}" if n > 1 else "e")
-    for i in range(n):
-        names.append(f"f{i+1}" if n > 1 else "f")
-    gens = [Generator(i, names[i], ODD, 1) for i in range(2 * n)]
-    table = {}
-    for i in range(n):
-        table[(i, n + i)] = ({}, _vac(1))
-        table[(n + i, i)] = ({}, _vac(-1))
-    P = VAPresentation(gens, table, param=param, name=f"A({n})")
+    names = _pair_names(n, "e", "f")
+    return _free_field(f"A({n})", names, ODD, 1, _paired(n, 1, -1), param)
+
+
+def free_field_conformal(P: VAPresentation) -> Element:
+    """L = 1/2 sum_ij C_ij :(D^(2 - 2 wt) x_i) x_j: with C the inverse pairing.
+
+    P must have a central table: [x_i lambda x_j] = lambda^(2 wt - 1) s_ij with
+    constant s_ij on generators of weight 1/2 or 1, and s invertible.  This
+    covers the free field algebras and their tensor products.
+    """
+    n = P.ngen
+    rows = [{n + i: Fraction(1)} for i in range(n)]
+    for (i, j), cs in P.table.items():
+        wt = P.gen_weight(i)
+        top = cs[-1]
+        if (
+            wt not in (Fraction(1, 2), 1)
+            or P.gen_weight(j) != wt
+            or len(cs) != 2 * wt
+            or any(cs[:-1])
+            or set(top) != {()}
+            or not top[()].is_constant()
+        ):
+            pair = (P.generators[i].name, P.generators[j].name)
+            raise ConstructionError(f"{P.name} is not a free field algebra at {pair}")
+        rows[i][j] = top[()].constant_value()
+    # C solves S C = I, so the solution for right-hand side n + j is column j
+    rank, solutions = qsolve(rows, n)
+    if rank < n:
+        raise ConstructionError(f"{P.name} has a degenerate pairing")
     L = P.zero()
     for i in range(n):
-        L = L - P.gen(i).no(P.gen(n + i))
-    P.metadata["conformal"] = L
-    P.metadata["central_charge"] = RatFunc.const(-2 * n)
-    return P
+        d = int(2 - 2 * P.gen_weight(i))
+        for j in range(n):
+            c = solutions[n + j][i]
+            if c:
+                L = L + P.gen(i, d).no(P.gen(j)) * RatFunc.const(c / 2)
+    return L
 
 
 def trivial(param="k") -> VAPresentation:
@@ -267,7 +258,7 @@ def primary_test(L: Element, a: Element):
         return False, RF_ZERO
     c1 = br.c(1)
     if c1.is_zero():
-        return a.is_zero() or True, RF_ZERO
+        return True, RF_ZERO
     # c1 must be a scalar multiple of a
     ks = set(c1.data)
     if ks != set(a.data):

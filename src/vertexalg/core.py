@@ -466,19 +466,6 @@ class VAPresentation:
             gens, table, param=self.param, name=name or f"{self.name}(x){other.name}"
         )
         out.metadata["tensor_factors"] = (self, other, offset)
-        lc = self.metadata.get("conformal")
-        rc = other.metadata.get("conformal")
-        if lc is not None and rc is not None:
-            shifted = {
-                tuple((g + offset, d) for g, d in M): c for M, c in rc.data.items()
-            }
-            data = dict(lc.data)
-            _add_data(data, shifted, RF_ONE)
-            out.metadata["conformal"] = Element(out, _clean(data))
-            cc1 = self.metadata.get("central_charge")
-            cc2 = other.metadata.get("central_charge")
-            if cc1 is not None and cc2 is not None:
-                out.metadata["central_charge"] = cc1 + cc2
         return out
 
     def embed_from_factor(self, x: "Element", factor: int) -> "Element":

@@ -1,5 +1,7 @@
 """Builders: free fields, affine algebras, embeddings, deformable limits."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,8 +21,10 @@ from vertexalg.constructions import (
     embed_image,
     f_orbifold_j,
     free_fermion,
+    free_field_conformal,
     h_orbifold_j,
     heisenberg,
+    heisenberg_pairs,
     limit_element,
     limit_presentation,
     n2_coset_generators,
@@ -32,8 +36,10 @@ from vertexalg.constructions import (
     sugawara_central_charge,
     symplectic_fermion,
     tau_embedding,
+    trivial,
     virasoro_test,
 )
+from vertexalg.fock import FockOracle
 from vertexalg.lie import builtin_lie
 from vertexalg.linear import _diagonal_charges
 
@@ -47,13 +53,81 @@ def test_free_field_central_charges():
         (bc_system(1), 1, "b", Fraction(1, 2)),
         (beta_gamma(1), -1, "beta", Fraction(1, 2)),
         (symplectic_fermion(1), -2, "e", 1),
+        (heisenberg_pairs(2), 4, "abar2", 1),
+        (beta_gamma(2), -2, "gamma2", Fraction(1, 2)),
     ]
     for P, c_want, gen_name, delta_want in cases:
-        L = P.metadata["conformal"]
+        L = free_field_conformal(P)
         ok, c = virasoro_test(L)
         assert ok and c == RatFunc.const(c_want), P.name
         okp, d = primary_test(L, P.gen(gen_name))
         assert okp and d == RatFunc.const(delta_want), P.name
+
+
+def test_tensor_conformal_is_the_sum_of_the_factors():
+    A, S = symplectic_fermion(1), beta_gamma(1)
+    AS = A.tensor(S)
+    L = free_field_conformal(AS)
+    parts = AS.embed_from_factor(free_field_conformal(A), 0)
+    parts = parts + AS.embed_from_factor(free_field_conformal(S), 1)
+    assert L == parts
+    ok, c = virasoro_test(L)
+    assert ok and c == RatFunc.const(-3)
+
+
+def test_tensor_with_trivial_keeps_a_conformal_vector():
+    P = heisenberg(2).tensor(trivial())
+    ok, c = virasoro_test(free_field_conformal(P))
+    assert ok and c == RatFunc.const(2)
+
+
+def test_free_field_conformal_rejects_affine():
+    with pytest.raises(ConstructionError):
+        free_field_conformal(affine(builtin_lie("sl2"), K))
+
+
+def _free_field_used(P):
+    assert virasoro_test(free_field_conformal(P))[0]
+    return P
+
+
+def _affine_used(P):
+    assert virasoro_test(sugawara(P))[0]
+    return P
+
+
+def _oracle_used(P):
+    oracle = FockOracle(P)
+    assert oracle.check_product(((0, 0), (1, 0)), ((0, 0), (1, 1)), 1)
+    return oracle
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _free_field_used(heisenberg(1)),
+        lambda: _free_field_used(heisenberg_pairs(1)),
+        lambda: _free_field_used(free_fermion(1)),
+        lambda: _free_field_used(bc_system(1)),
+        lambda: _free_field_used(beta_gamma(1)),
+        lambda: _free_field_used(symplectic_fermion(1)),
+        lambda: _free_field_used(symplectic_fermion(1).tensor(beta_gamma(1))),
+        lambda: _affine_used(affine(builtin_lie("sl2"), K)),
+        lambda: _oracle_used(beta_gamma(1)),
+    ],
+    ids=["H", "Hpair", "F", "E", "S", "A", "A(x)S", "affine-sl2", "fock-oracle"],
+)
+def test_dropped_presentation_is_freed_at_once(make):
+    # a presentation holds no element of itself, so it and its product memo
+    # go with the last reference, without waiting for a cyclic collection
+    gc.disable()
+    try:
+        holder = make()
+        ref = weakref.ref(getattr(holder, "pres", holder))
+        del holder
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_negative_rank_rejected():
@@ -129,7 +203,7 @@ def test_sugawara_critical_level():
 
 def test_virasoro_test_rejects_spoiled():
     H = heisenberg(1)
-    L = H.metadata["conformal"]
+    L = free_field_conformal(H)
     spoiled = L + H.gen(0).no(H.gen(0))
     ok, _ = virasoro_test(spoiled)
     assert not ok

@@ -39,11 +39,11 @@ def test_oracle_equivalence(build, name):
     while w <= CAP - step:
         monos.extend(weight_basis(P, w).monomials)
         w += step
+    weighted = [(M, P.mono_weight(M)) for M in monos]
     checked = 0
-    for M in monos:
-        wM = P.mono_weight(M)
-        for N in monos:
-            wtot = wM + P.mono_weight(N)
+    for M, wM in weighted:
+        for N, wN in weighted:
+            wtot = wM + wN
             if wtot > CAP:
                 continue
             for n in range(-1, int(wtot) + 1):
