@@ -13,6 +13,7 @@ a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct is at least
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -236,7 +237,9 @@ def cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="vertexalg",
         description="Exact symbolic calculus for vertex superalgebras over Q(k).",

@@ -1,8 +1,11 @@
 """Builders for the free-field and affine algebras and their named elements.
 
 The free field algebras share one builder, and `free_field_conformal` derives
-their standard conformal vector from the pairing; the embedding constructors
-return images that carry a machine-checked homomorphism certificate.
+their standard conformal vector from the pairing.  The affine and deformable
+current tables share one builder, each quadratic orbifold invariant is one
+pair sum, and the outer sp_2n action on A(n) (x) S(n) is read off the zero
+modes of the tau currents.  The embedding constructors return images that
+carry a machine-checked homomorphism certificate.
 """
 
 from __future__ import annotations
@@ -159,30 +162,30 @@ def trivial(param="k") -> VAPresentation:
 # Affine vertex superalgebras
 
 
+def _current_table(lie: LiePresentation, prefix: str, bracket_scale, level):
+    """Weight-1 generators prefix + name, one per basis vector of g, and the
+    table [x_i lambda x_j] = bracket_scale [x_i, x_j] + lambda level B(x_i, x_j)."""
+    gens = [Generator(i, prefix + x, lie.parities[i], 1) for i, x in enumerate(lie.names)]
+    table = {}
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            c0 = {((m, 0),): RatFunc.const(c) * bracket_scale
+                  for m, c in lie.bracket(i, j).items()}
+            central = level * RatFunc.const(lie.form[i][j])
+            c1 = {(): central} if central else {}
+            if c0 or c1:
+                table[(i, j)] = (c0, c1)
+    return gens, table
+
+
 def affine(lie: LiePresentation, level, param="k", name=None) -> VAPresentation:
     """V_level(g, B): one weight-1 generator per basis vector of g."""
     if isinstance(level, str):
         level = parse_ratfunc(level, param)
     else:
         level = as_ratfunc(level)
-    gens = [
-        Generator(i, lie.names[i], lie.parities[i], 1) for i in range(lie.dim)
-    ]
-    table = {}
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            c0 = {}
-            for m, c in lie.bracket(i, j).items():
-                c0[((m, 0),)] = RatFunc.const(c)
-            c1 = {}
-            central = level * RatFunc.const(lie.form[i][j])
-            if central:
-                c1[()] = central
-            if c0 or c1:
-                table[(i, j)] = (c0, c1)
-    P = VAPresentation(
-        gens, table, param=param, name=name or f"V({lie.name};{level})"
-    )
+    gens, table = _current_table(lie, "", RF_ONE, level)
+    P = VAPresentation(gens, table, param=param, name=name or f"V({lie.name};{level})")
     P.metadata["lie"] = lie
     P.metadata["level"] = level
     return P
@@ -443,24 +446,8 @@ def deformable_form(P: VAPresentation) -> VAPresentation:
         raise ConstructionError("deformable_form requires an affine presentation")
     if level != RatFunc.param():
         raise ConstructionError("deformable_form requires the symbolic level k")
-    gens = [
-        Generator(i, "a_" + lie.names[i], lie.parities[i], 1) for i in range(lie.dim)
-    ]
-    inv_kappa = RF_ONE / RatFunc.param()
-    table = {}
-    for i in range(lie.dim):
-        for j in range(lie.dim):
-            c0 = {}
-            for m, c in lie.bracket(i, j).items():
-                c0[((m, 0),)] = RatFunc.const(c) * inv_kappa
-            c1 = {}
-            if lie.form[i][j]:
-                c1[()] = RatFunc.const(lie.form[i][j])
-            if c0 or c1:
-                table[(i, j)] = (c0, c1)
-    out = VAPresentation(
-        gens, table, param="kappa", name=f"def({P.name})"
-    )
+    gens, table = _current_table(lie, "a_", RF_ONE / RatFunc.param(), RF_ONE)
+    out = VAPresentation(gens, table, param="kappa", name=f"def({P.name})")
     out.metadata["lie"] = lie
     out.metadata["deformable_of"] = P
     return out
@@ -517,95 +504,64 @@ def limit_element(x: Element, target: VAPresentation) -> Element:
 # Named generator families from the orbifold constructions
 
 
+def _pair_sum(P: VAPresentation, pairs, d: int, mirror, scale) -> Element:
+    """scale * sum over the id pairs (x, y) of :x D^d y: + mirror :(D^d x) y:."""
+    out = P.zero()
+    for x, y in pairs:
+        out = out + P.gen(x).no(P.gen(y, d))
+        if mirror:
+            out = out + P.gen(x, d).no(P.gen(y)) * mirror
+    return out * scale
+
+
 def s_orbifold_w(S: VAPresentation, r: int, k: int) -> Element:
     """w-tilde of weight 2k+2 in the beta-gamma system of rank r."""
-    out = S.zero()
-    half = RatFunc.const(Fraction(1, 2))
-    for i in range(r):
-        beta = S.gen(i)
-        gamma = S.gen(r + i)
-        out = out + (
-            beta.no(S.gen(r + i, 2 * k + 1)) - S.gen(i, 2 * k + 1).no(gamma)
-        ) * half
-    return out
+    return _pair_sum(S, [(i, r + i) for i in range(r)], 2 * k + 1, -1, Fraction(1, 2))
 
 
 def f_orbifold_j(F: VAPresentation, n: int, k: int) -> Element:
     """j-tilde of weight 2k+2 in the free fermion algebra of rank n."""
-    out = F.zero()
-    mhalf = RatFunc.const(Fraction(-1, 2))
-    for i in range(n):
-        out = out + F.gen(i).no(F.gen(i, 2 * k + 1)) * mhalf
-    return out
+    return _pair_sum(F, [(i, i) for i in range(n)], 2 * k + 1, 0, Fraction(-1, 2))
 
 
 def a_orbifold_w(A: VAPresentation, s: int, k: int) -> Element:
     """w of weight 2k+2 in the symplectic fermion algebra of rank s."""
-    out = A.zero()
-    half = RatFunc.const(Fraction(1, 2))
-    for i in range(s):
-        out = out + (
-            A.gen(i).no(A.gen(s + i, 2 * k)) + A.gen(i, 2 * k).no(A.gen(s + i))
-        ) * half
-    return out
+    return _pair_sum(A, [(i, s + i) for i in range(s)], 2 * k, 1, Fraction(1, 2))
 
 
 def h_orbifold_j(H: VAPresentation, m: int, k: int) -> Element:
     """j of weight 2k+2 in the rank-m Heisenberg algebra."""
-    out = H.zero()
-    for i in range(m):
-        out = out + H.gen(i).no(H.gen(i, 2 * k))
-    return out
+    return _pair_sum(H, [(i, i) for i in range(m)], 2 * k, 0, 1)
 
 
 def as_mixed_generators(AS: VAPresentation, n: int):
     """The mixed invariants of A(n) (x) S(n): j^{2k}, w^{2k+1}, mu^k.
 
     AS must be symplectic_fermion(n).tensor(beta_gamma(n)); generator order is
-    e_i, f_i, beta_i, gamma_i.
+    e_i, f_i, beta_i, gamma_i, so e_i and f_i have their ids in A(n).
     """
-    half = RatFunc.const(Fraction(1, 2))
-
-    def e(i, d=0):
-        return AS.gen(i, d)
-
-    def f(i, d=0):
-        return AS.gen(n + i, d)
-
-    def beta(i, d=0):
-        return AS.gen(2 * n + i, d)
-
-    def gamma(i, d=0):
-        return AS.gen(3 * n + i, d)
-
-    js = []
-    ws = []
-    mus = []
-    for k in range(n):
-        jk = AS.zero()
-        wk = AS.zero()
-        for i in range(n):
-            jk = jk + (e(i).no(f(i, 2 * k)) + e(i, 2 * k).no(f(i))) * half
-            wk = wk + (beta(i).no(gamma(i, 2 * k + 1)) - beta(i, 2 * k + 1).no(gamma(i))) * half
-        js.append(jk)
-        ws.append(wk)
-    for k in range(2 * n):
-        mk = AS.zero()
-        for i in range(n):
-            mk = mk + (beta(i).no(f(i, k)) - gamma(i).no(e(i, k))) * half
-        mus.append(mk)
-    return {"j": js, "w": ws, "mu": mus}
+    e, f, beta, gamma = (range(m * n, m * n + n) for m in range(4))
+    half = Fraction(1, 2)
+    return {
+        "j": [a_orbifold_w(AS, n, k) for k in range(n)],
+        "w": [_pair_sum(AS, zip(beta, gamma), 2 * k + 1, -1, half) for k in range(n)],
+        "mu": [
+            _pair_sum(AS, zip(beta, f), k, 0, half)
+            + _pair_sum(AS, zip(gamma, e), k, 0, -half)
+            for k in range(2 * n)
+        ],
+    }
 
 
 def as_diagonal_sp_action(AS: VAPresentation, n: int):
     """Diagonal sp_2n action on A(n) (x) S(n): tau currents plus an outer part.
 
-    Returns a list of (current, derivation) pairs, one per sp_2n basis vector;
-    the derivation maps generator ids to element data and covers the
+    Returns a list of (current, derivation) pairs, one per sp_2n basis vector,
+    and sp_2n; the derivation maps generator ids to element data and covers the
     symplectic fermion factor, where the action is not inner.
     """
-    lie = builtin_lie(f"sp{2*n}")
     tau = tau_embedding(n, param=AS.param)
+    S = tau.target
     # push tau currents into the tensor: S-generators sit after the 2n A-ones
     currents = []
     for x in tau.images:
@@ -613,32 +569,13 @@ def as_diagonal_sp_action(AS: VAPresentation, n: int):
             tuple((g + 2 * n, d) for g, d in M): c for M, c in x.data.items()
         }
         currents.append(Element(AS, data))
-    # the outer action mirrors the tau-current zero-mode action with
-    # e_i <-> beta_i and f_i <-> gamma_i
+    # the outer action is the zero-mode action of each tau current on S(n),
+    # read on A(n) through beta_i -> e_i, gamma_i -> f_i (the same ids)
     derivations = []
-    for idx, name in enumerate(lie.names):
-        kind, j, k = name[0], int(name[1]) - 1, int(name[2]) - 1
-        action = {}
-
-        def add(gen_id, target_id, coeff, action=action):
-            action.setdefault(gen_id, {})
-            key = ((target_id, 0),)
-            action[gen_id][key] = action[gen_id].get(key, RF_ZERO) + RatFunc.const(coeff)
-
-        if kind == "S":
-            # zero mode of :gamma_j gamma_k: sends beta_j -> -gamma_k etc.
-            add(j, n + k, -1)
-            add(k, n + j, -1)
-        elif kind == "T":
-            # zero mode of :beta_j beta_k: sends gamma_j -> +beta_k etc.
-            add(n + j, k, 1)
-            add(n + k, j, 1)
-        else:
-            # zero mode of :gamma_j beta_k: sends beta_j -> -beta_k, gamma_k -> +gamma_j
-            add(j, k, -1)
-            add(n + k, n + j, 1)
-        derivations.append(action)
-    return list(zip(currents, derivations)), lie
+    for J in tau.images:
+        images = {g: S.nprod(J, S.gen(g), 0).data for g in range(S.ngen)}
+        derivations.append({g: data for g, data in images.items() if data})
+    return list(zip(currents, derivations)), tau.source
 
 
 def parafermion_sl3_generators(H6: VAPresentation):

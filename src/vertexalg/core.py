@@ -250,32 +250,23 @@ class VAPresentation:
         if a < b or (a == b and not self.gen_parity(a[0])):
             return {(a,) + N: RF_ONE}
         rest = N[1:]
-        pa = self.gen_parity(a[0])
-        pb = self.gen_parity(b[0])
         out = {}
         if a == b:
             # both odd: 2 :a(:a rest:): = sum_i (-1)^i (a_(i) a)_(-2-i) rest
-            half = RatFunc.const(Fraction(1, 2))
-            wt2 = 2 * (self.gen_weight(a[0]) + a[1])
-            i = 0
-            while wt2 - i - 1 >= 0:
-                bra = self._prod((a,), (b,), i)
-                if bra:
-                    corr = self._nprod_data_mono(bra, rest, -2 - i)
-                    _add_data(out, corr, half if i % 2 == 0 else -half)
-                i += 1
-            return _clean(out)
-        sign = -1 if (pa and pb) else 1
-        swapped = self._prod((a,), rest, -1)
-        if swapped:
-            _add_data(out, self._nprod_mono_data((b,), swapped, -1), RatFunc.const(sign))
+            scale = Fraction(1, 2)
+        else:
+            scale = 1
+            sign = -1 if (self.gen_parity(a[0]) and self.gen_parity(b[0])) else 1
+            swapped = self._prod((a,), rest, -1)
+            if swapped:
+                _add_data(out, self._nprod_mono_data((b,), swapped, -1), RatFunc.const(sign))
         wt_ab = self.gen_weight(a[0]) + a[1] + self.gen_weight(b[0]) + b[1]
         i = 0
         while wt_ab - i - 1 >= 0:
             bra = self._prod((a,), (b,), i)
             if bra:
                 corr = self._nprod_data_mono(bra, rest, -2 - i)
-                _add_data(out, corr, RatFunc.const(1 if i % 2 == 0 else -1))
+                _add_data(out, corr, RatFunc.const(scale if i % 2 == 0 else -scale))
             i += 1
         return _clean(out)
 

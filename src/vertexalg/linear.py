@@ -12,12 +12,15 @@ divided by the gcd of its entries, taken in Z[k] by coefficients.zgcd, and
 by its integer content.  In each column the pivot is the entry of lowest
 degree, ties going to the sparsest row (Markowitz 1957, Management
 Science 3) and then to the first one.  Elimination works on a copy, so the
-input rows stay as built.  The pivot polynomials are reported over Q, and
-the kernel vectors come back as RatFunc coordinates.
+input rows stay as built.  The pivot polynomials are reported over Q.  The
+kernel is back-substituted over Z[k] too, with one denominator per kernel
+vector, and its coordinates come back as RatFuncs.
 
 Nongeneric levels: away from the roots of the pivots, of the factors
 stripped from rows and of the cleared denominators, every elimination step
-stays valid at k = k0, so the rank can drop only at those roots.
+stays valid at k = k0, so the rank can drop only at those roots.  A kernel
+coordinate's denominator divides a product of pivot entries, so it adds no
+candidate.
 SolveReport.rank_at decides each candidate with coefficients.qsolve, the
 one elimination over Q, on the rows evaluated at k = k0.  qsolve shares no
 code with PolySystem.eliminate or the Z[k] helpers, so its rank is an
@@ -38,7 +41,6 @@ from math import ceil, gcd
 
 from .coefficients import (
     PONE,
-    RF_ONE,
     RF_ZERO,
     RatFunc,
     as_ratfunc,
@@ -54,6 +56,7 @@ from .coefficients import (
     rational_roots,
     zcombine,
     zgcd,
+    zmul,
     zprimitive,
     zquo,
 )
@@ -254,35 +257,34 @@ class PolySystem:
     def kernel(self, pivot_rows):
         """Kernel basis as RatFunc coordinate vectors, one per free column."""
         pivot_set = {c for c, _ in pivot_rows}
-        rows = _ratfunc_rows(pivot_rows)
         return [
-            self._kernel_vector(rows, fc)
+            self._kernel_vector(pivot_rows, fc)
             for fc in range(self.ncols)
             if fc not in pivot_set
         ]
 
-    def _kernel_vector(self, rows, free_col):
-        """Back-substitution in the RatFunc pivot rows: the kernel vector that
-        is one at free_col and zero at every other free column."""
-        x = [RF_ZERO] * self.ncols
-        x[free_col] = RF_ONE
-        for col, row in reversed(rows):
-            total = RF_ZERO
+    def _kernel_vector(self, pivot_rows, free_col):
+        """Back-substitution in the Z[k] pivot rows: the kernel vector that is
+        one at free_col and zero at every other free column.  Coordinates are
+        integer numerators over one denominator, the product of the pivot
+        cofactors, and each becomes a RatFunc once, at the end."""
+        num = [()] * self.ncols
+        num[free_col] = (1,)
+        den = (1,)
+        for col, row in reversed(pivot_rows):
+            total = ()
             for c, v in row.items():
-                if c > col and x[c]:
-                    total = total + v * x[c]
+                if c > col and num[c]:
+                    total = zcombine(v, num[c], (-1,), total)
             if total:
-                x[col] = -total / row[col]
-        return x
-
-
-def _ratfunc_rows(pivot_rows):
-    """Pivot rows over Z[k] as rows of RatFunc with Fraction coefficients."""
-    return [
-        (col, {c: RatFunc(tuple(map(Fraction, v)), PONE, _reduced=True)
-               for c, v in row.items()})
-        for col, row in pivot_rows
-    ]
+                # x[col] = -total / (den * row[col]) = -t / (den * p)
+                _, p, t = zgcd(row[col], total)
+                if p != (1,):
+                    num = [zmul(p, x) for x in num]
+                    den = zmul(p, den)
+                num[col] = tuple(-x for x in t)
+        den = tuple(map(Fraction, den))
+        return [RatFunc(tuple(map(Fraction, x)), den) if x else RF_ZERO for x in num]
 
 
 def solve(rows, rhs, ncols):
@@ -303,7 +305,7 @@ def solve(rows, rhs, ncols):
     rank, _, pivot_rows = system.eliminate()
     if pivot_rows and pivot_rows[-1][0] == ncols:
         return None, rank - 1, rank
-    return system._kernel_vector(_ratfunc_rows(pivot_rows), ncols)[:ncols], rank, rank
+    return system._kernel_vector(pivot_rows, ncols)[:ncols], rank, rank
 
 
 def solve_span(columns, target):
@@ -394,14 +396,6 @@ class SolveReport:
                     data[self.basis.monomials[i]] = c
             out.append(Element(self.pres, data))
         return out
-
-    def coordinate_denominators(self):
-        dens = []
-        for x in self.kernel_vectors:
-            for c in x:
-                if c and pdeg(c.den) > 0:
-                    dens.append(c.den)
-        return dens
 
     def rank_at(self, k0) -> int:
         k0 = exact_scalar(k0)
@@ -572,19 +566,18 @@ class NongenericReport:
 
 
 def nongeneric_levels(report: SolveReport) -> NongenericReport:
-    """Rational roots of pivot polynomials, of the factors stripped from rows
-    and of kernel-coordinate denominators.
+    """Rational roots of the pivot polynomials and of the factors stripped
+    from rows.
 
     Away from these roots and the poles (roots of cleared denominators)
     every elimination step stays valid at k = k0, so the rank cannot drop
-    there.  Each root is certified when the kernel dimension provably
-    changes at that level (by an exact rank computation), otherwise listed
-    as a candidate.
+    there.  The kernel coordinates need no roots of their own: each
+    denominator divides a product of pivot entries.  Each root is certified
+    when the kernel dimension provably changes at that level (by an exact
+    rank computation), otherwise listed as a candidate.
     """
     stripped = [pprimitive(f) for f in sorted(report.system.stripped_factors)]
-    candidates, factors = _distinct_roots(
-        report.pivot_polys + report.coordinate_denominators() + stripped
-    )
+    candidates, factors = _distinct_roots(report.pivot_polys + stripped)
     poles, _ = _distinct_roots(report.system.cleared_factors)
     certified = {}
     remaining = set()

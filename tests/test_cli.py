@@ -1,9 +1,11 @@
 """CLI surface: subcommands, definition files, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
+from vertexalg import cli
 from vertexalg.cli import main
 from vertexalg.deffiles import build_algebra, load_definition
 from vertexalg.suites import run_suite
@@ -131,6 +133,27 @@ def test_suite_determinism(suite_report):
     a = suite_report("parafermion-sl2")[0].serialize(with_timing=False)
     b = run_suite("parafermion-sl2").serialize(with_timing=False)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_cli_builds_parser_once(monkeypatch, capsys):
+    # main() shares one parser: three calls construct the parsers of one build
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["list"]) == 0
+    assert main(["--format", "json", "list"]) == 0
+    assert main(["nproduct", "--algebra", "bc:1", "--n", "0", "--left", "b", "--right", "c"]) == 0
+    capsys.readouterr()
+    calls = len(built)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    assert calls == len(built) - calls > 0
 
 
 def test_cli_list(capsys):

@@ -12,6 +12,7 @@ from vertexalg.constructions import (
     CriticalLevelError,
     a_orbifold_w,
     affine,
+    as_diagonal_sp_action,
     as_mixed_generators,
     bc_system,
     beta_gamma,
@@ -41,7 +42,7 @@ from vertexalg.constructions import (
 )
 from vertexalg.fock import FockOracle
 from vertexalg.lie import builtin_lie
-from vertexalg.linear import _diagonal_charges
+from vertexalg.linear import _diagonal_charges, verify_invariant
 
 K = RatFunc.param()
 
@@ -348,6 +349,18 @@ def test_as_mixed_mu0():
     beta, gamma = AS.gen("beta"), AS.gen("gamma")
     e, f = AS.gen("e"), AS.gen("f")
     assert mu0 == (beta.no(f) - gamma.no(e)) * RatFunc.const(Fraction(1, 2))
+
+
+def test_as_mixed_invariant_at_rank_two():
+    # the outer sp4 action on A(2) is read off the tau zero modes on S(2);
+    # every mixed generator is killed by the whole diagonal action
+    AS = symplectic_fermion(2).tensor(beta_gamma(2))
+    actions, lie = as_diagonal_sp_action(AS, 2)
+    assert lie.same_structure(builtin_lie("sp4")) and len(actions) == lie.dim
+    for name, elems in as_mixed_generators(AS, 2).items():
+        for el in elems:
+            assert verify_invariant(AS, el, actions), name
+    assert not verify_invariant(AS, AS.gen("e1").no(AS.gen("f2")), actions)
 
 
 def test_n2_l_formula_display():

@@ -11,6 +11,7 @@ from vertexalg.coefficients import (
     RF_ZERO,
     RatFunc,
     pdivmod,
+    pmul,
     pprimitive,
     rational_roots,
 )
@@ -285,6 +286,47 @@ def _random_rows(rng):
     return rows, ncols
 
 
+def _reference_kernel(system, pivot_rows):
+    """Back-substitution over Q(k) in RatFunc arithmetic, the kernel's former
+    implementation, kept as a reference for the one over Z[k]."""
+    rows = [(col, {c: RatFunc(tuple(map(Fraction, v))) for c, v in row.items()})
+            for col, row in pivot_rows]
+    pivot_set = {col for col, _ in rows}
+    out = []
+    for free_col in range(system.ncols):
+        if free_col in pivot_set:
+            continue
+        x = [RF_ZERO] * system.ncols
+        x[free_col] = RF_ONE
+        for col, row in reversed(rows):
+            total = RF_ZERO
+            for c, v in row.items():
+                if c > col and x[c]:
+                    total = total + v * x[c]
+            if total:
+                x[col] = -total / row[col]
+        out.append(x)
+    return out
+
+
+def _check_kernel(system, pivots, pivot_rows, kernel):
+    """The kernel equals the reference, and every coordinate's denominator
+    divides the product of the pivot polynomials."""
+    assert kernel == _reference_kernel(system, pivot_rows)
+    product = (Fraction(1),)
+    for p in pivots:
+        product = pmul(product, p)
+    for x in kernel:
+        for c in x:
+            assert pdivmod(product, c.den)[1] == ()
+
+
+def test_kernel_matches_reference(osp_weight4_system):
+    system = osp_weight4_system
+    _, pivots, pivot_rows = system.eliminate()
+    _check_kernel(system, pivots, pivot_rows, system.kernel(pivot_rows))
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_random_sparse_systems(seed):
     rng = random.Random(seed)
@@ -296,6 +338,7 @@ def test_random_sparse_systems(seed):
     rank, pivots, pivot_rows = system.eliminate()
     kernel = system.kernel(pivot_rows)
     assert rank + len(kernel) == ncols
+    _check_kernel(system, pivots, pivot_rows, kernel)
     for x in kernel:
         for row in rows:
             assert sum((v * x[c] for c, v in row.items()), RF_ZERO) == RF_ZERO
