@@ -32,11 +32,29 @@ where the derivation is an outer even derivation given on generators; the
 combined zero mode is current_(0) + derivation, and higher modes come from
 the current alone.  The second form realizes diagonal group actions whose
 restriction to a free tensor factor is not inner.
+
+Commutant rows come from a generating set of the current modes, not from
+every mode.  For m, n >= 0, [J_a(m), J_b(n)] = (J_a(0) J_b)(m + n): the
+cocycle term m delta(m+n, 0) J_a(1) J_b vanishes there, so these modes span
+a copy of g (x) C[t] that does not depend on the level.  An element killed
+by some modes is killed by the Lie algebra they generate, and modes above
+ceil(w) vanish on weight w.  So the rows of a minimal set of modes that
+generates span{J_a(n) : 0 <= n <= ceil(w)} cut out the whole commutant at
+every level: the zero modes of a smallest subset of the currents that
+generates g, then in each degree d >= 1 the d-modes, in order, that the
+brackets of lower degrees leave out of g (_generating_modes).  For simple g
+these are e_i(0), f_i(0) and one mode of degree one (Kac, Infinite-
+dimensional Lie algebras, ch. 7); an abelian current keeps every mode.
+When an action carries an outer derivation, or the currents' 0-products
+are not constant combinations of the currents or their 1-products not
+multiples of the vacuum, every mode gives rows.  verify_commutant stays
+the independent check: it applies every mode of every current.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, gcd
 
 from .coefficients import (
@@ -424,6 +442,16 @@ class SolveReport:
 
 
 def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
+    """The commutant conditions on the weight-w space as a PolySystem.
+
+    One row block per mode that _generating_modes selects, one row per
+    target monomial.  Those modes generate span{J_a(n) : 0 <= n <= ceil(w)}
+    as a Lie algebra at every level, since the cocycle of [J_a(m), J_b(n)]
+    vanishes for m, n >= 0, so their rows have the commutant as kernel.
+    With an outer derivation, or currents that do not close into a
+    level-free g (x) C[t], every mode n = 0..ceil(w) of every action gives
+    rows.
+    """
     w = exact_scalar(w)
     if basis is None:
         basis = weight_basis(P, w)
@@ -434,17 +462,100 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
     system = PolySystem(len(basis), param=P.param)
     nmax = int(ceil(w)) if w > 0 else 0
     # rows are indexed by (action, n, target monomial)
-    for a_idx, (current, derivation) in enumerate(actions):
-        top = nmax if current is not None else 0
-        for n in range(top + 1):
-            rows = {}
-            for col, M in enumerate(basis.monomials):
-                image = _action_image(P, current, derivation, P.element({M: 1}), n)
-                for T, c in image.data.items():
-                    rows.setdefault(T, {})[col] = c
-            for T in sorted(rows):
-                system.add_row(rows[T])
+    for a_idx, n in _generating_modes(P, actions, nmax):
+        current, derivation = actions[a_idx]
+        rows = {}
+        for col, M in enumerate(basis.monomials):
+            image = _action_image(P, current, derivation, P.element({M: 1}), n)
+            for T, c in image.data.items():
+                rows.setdefault(T, {})[col] = c
+        for T in sorted(rows):
+            system.add_row(rows[T])
     return system
+
+
+def _generating_modes(P: VAPresentation, actions, nmax):
+    """The modes (action index, n), sorted, whose rows commutant_system writes.
+
+    Every mode n = 0..nmax of each current (n = 0 alone for an action
+    without one) when an action carries a derivation or _current_brackets
+    finds no structure constants.  Otherwise a minimal generating set of
+    span{J_a(n) : 0 <= n <= nmax}: the zero modes of the first smallest
+    subset of the currents that generates their span g, then for d >= 1
+    the d-modes, in order, that the degree-d part leaves out of g.  That
+    part is spanned by the brackets of the parts of degrees i, j >= 1 with
+    i + j = d and the d-modes added, closed under ad g.
+    """
+    every = [(a, n) for a, (current, _) in enumerate(actions)
+             for n in range(nmax + 1 if current is not None else 1)]
+    if any(derivation is not None for _, derivation in actions):
+        return every
+    brackets = _current_brackets(P, [current for current, _ in actions])
+    if brackets is None:
+        return every
+    dim = len(actions)
+
+    def bracket(u, v):
+        out = {}
+        for a, x in u.items():
+            for b, y in v.items():
+                for c, s in brackets[a][b].items():
+                    out[c] = out.get(c, 0) + x * y * s
+        return {c: s for c, s in out.items() if s}
+
+    def close(span, new, ops):
+        """span, a list of independent vectors, grown in place by the vectors
+        new and closed under bracket(x, .) for x in ops."""
+        queue = list(new)
+        while queue:
+            v = queue.pop()
+            if qsolve(span + [v], dim)[0] > len(span):
+                span.append(v)
+                queue += [bracket(x, v) for x in ops]
+        return span
+
+    unit = [{a: Fraction(1)} for a in range(dim)]
+    zero_modes = next(
+        subset for size in range(dim + 1) for subset in combinations(range(dim), size)
+        if len(close([], [unit[a] for a in subset], [unit[a] for a in subset])) == dim
+    )
+    ad_g = [unit[a] for a in zero_modes]
+    modes = [(a, 0) for a in zero_modes]
+    graded = {}
+    for d in range(1, nmax + 1):
+        span = close([], [bracket(u, v) for i in range(1, d // 2 + 1)
+                          for u in graded[i] for v in graded[d - i]], ad_g)
+        for a in range(dim):
+            size = len(span)
+            if size < dim and len(close(span, [unit[a]], ad_g)) > size:
+                modes.append((a, d))
+        graded[d] = span
+    return sorted(modes)
+
+
+def _current_brackets(P: VAPresentation, currents):
+    """The structure constants of the currents, or None.
+
+    brackets[a][b] maps c to the coordinate of J_a(0) J_b on J_c.  They are
+    returned only when every current has a parity, every J_a(0) J_b is a
+    combination of the currents with constant coefficients and every
+    J_a(1) J_b is a multiple of the vacuum.  Then [J_a(m), J_b(n)] =
+    (J_a(0) J_b)(m + n) for all m, n >= 0 at every level.
+    """
+    if any(len({P.mono_parity(M) for M in J.data}) > 1 for J in currents):
+        return None
+    brackets = []
+    for Ja in currents:
+        row = []
+        for Jb in currents:
+            br = P.lambda_bracket(Ja, Jb)
+            x = solve_span(currents, br.c(0))[0]
+            if (br.order() > 2 or set(br.c(1).data) - {()} or x is None
+                    or not all(c.is_constant() for c in x)):
+                return None
+            row.append({c: v.constant_value() for c, v in enumerate(x) if v})
+        brackets.append(row)
+    return brackets
 
 
 def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:

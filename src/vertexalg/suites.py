@@ -239,6 +239,8 @@ def suite_osp_coset() -> SuiteReport:
 
     rep.run_check("weight-4-decoupling", lambda: decouple(4, 1, ["-4"]))
     rep.run_check("weight-6-decoupling", lambda: decouple(6, 2, ["-4", "-8/3"]))
+    rep.run_check("weight-8-decoupling",
+                  lambda: decouple(8, 3, ["-4", "-8/3", "-12/5"]))
     return rep
 
 

@@ -12,9 +12,9 @@ matches at odd i, and the even-i sign is forced by the stated generator
 brackets.  Criterion 7 tests orbifold membership, i.e. annihilation by the
 combined zero modes that implement the group action; the tau embedding is
 conformal, so annihilation by all nonnegative modes would leave only the
-vacuum line.  Criterion 4's weight-6 decoupling solves on the H-charge-0
-subspace (charge_currents=[H]); test_decoupling_charge_filter_is_exact in
-test_linear.py checks at weight 4 that the filter does not change the report.
+vacuum line.  Criterion 4's weight-6 and weight-8 decouplings solve on the
+H-charge-0 subspace (charge_currents=[H]); test_decoupling_charge_filter_is_exact
+in test_linear.py checks at weight 4 that the filter does not change the report.
 """
 
 import random
@@ -84,7 +84,8 @@ def test_criterion_3_n2_structure(suite_report):
 
 def test_criterion_4_osp_coset(suite_report):
     accept_suite(4, suite_report, "osp-coset", 1800, checks=(
-        "weight-2-virasoro", "weight-4-decoupling", "weight-6-decoupling"))
+        "weight-2-virasoro", "weight-4-decoupling", "weight-6-decoupling",
+        "weight-8-decoupling"))
 
 
 def test_criterion_5_sl3_parafermion_limit(suite_report):

@@ -123,6 +123,18 @@ def test_normal_order_examples():
     assert E.gen("b").no(E.gen("b")).is_zero()
 
 
+def test_odd_square_is_half_the_derivative_of_the_bracket():
+    # :aa: = (1/2) D(a_(0) a) for an odd a; in a free field algebra a_(0) a
+    # vanishes, so only a non-abelian odd bracket sees the 1/2 in _insert
+    P = affine(builtin_lie("osp(1|2)"), K)
+    half = RatFunc.const(Fraction(1, 2))
+    for odd, even, quarter in (("phip", "Xp", Fraction(1, 4)), ("phim", "Xm", Fraction(-1, 4))):
+        a = P.gen(odd)
+        square = P.nprod(a, a, -1)
+        assert square == P.derivative(P.nprod(a, a, 0)) * half
+        assert square == P.gen(even, 1) * RatFunc.const(quarter)
+
+
 def test_section8_i1_relation():
     # :(:dXp b:)(:bc:): = -:d^2 Xp b:
     P = affine(builtin_lie("sl2"), K).tensor(bc_system(1))

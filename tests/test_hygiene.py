@@ -5,7 +5,8 @@ somewhere in the package outside its own body, and every import must be used
 in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
 that another module defines.  No private function only forwards to a method.
-The Fock oracle shares no product logic with the engine it checks.
+The Fock oracle shares no product logic with the engine it checks, and
+verify_commutant none of the mode selection of the rows it re-checks.
 """
 
 import ast
@@ -157,3 +158,21 @@ def test_fock_oracle_stays_independent_of_the_engine():
     named = set(_referenced_names(tree)) | {
         node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not named & forbidden, sorted(named & forbidden)
+
+
+def test_verify_commutant_stays_independent_of_the_mode_selection():
+    # commutant_system writes rows for a generating set of the current
+    # modes; verify_commutant re-checks every mode of every current, so
+    # nothing it calls in linear.py may reach the code that picks that set
+    functions = {node.name: node for node in _trees()["linear.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    selection = {"_generating_modes", "_current_brackets"}
+    assert selection <= set(functions)
+    reached, todo = set(), ["verify_commutant", "_action_image"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _referenced_names(functions[name]) if n in functions]
+    assert {"verify_invariant", "_action_image", "apply_derivation"} <= reached
+    assert not reached & selection, sorted(reached & selection)

@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -17,6 +18,8 @@ from vertexalg.coefficients import (
 )
 from vertexalg.constructions import (
     affine,
+    as_diagonal_sp_action,
+    beta_gamma,
     bc_system,
     heisenberg,
     heisenberg_pairs,
@@ -35,6 +38,7 @@ from vertexalg.linear import (
     PolySystem,
     Relation,
     SolveReport,
+    apply_derivation,
     charge_filter,
     commutant_basis,
     commutant_system,
@@ -618,3 +622,130 @@ def test_invariance_vs_commutant():
     assert verify_invariant(S1, w1, tau.images)
     # the tau embedding is conformal, so the coset condition fails at n = 1
     assert not verify_commutant(S1, w1, tau.images)
+
+
+# ---------------------------------------------------------------------------
+# Commutant rows from a generating set of the current modes
+
+
+def _mode_rows(P, actions, basis, modes):
+    """A PolySystem with the rows of the given current modes n, written here
+    from P.nprod and apply_derivation alone: actions are (current,
+    derivation) pairs, and each mode n of each action gives one row per
+    target monomial, actions first, then n."""
+    system = PolySystem(len(basis), param=P.param)
+    for current, derivation in actions:
+        for n in modes:
+            rows = {}
+            for col, M in enumerate(basis.monomials):
+                x = P.element({M: 1})
+                image = P.nprod(current, x, n) if current is not None else P.zero()
+                if n == 0 and derivation is not None:
+                    image = image + apply_derivation(P, derivation, x)
+                for T, c in image.data.items():
+                    rows.setdefault(T, {})[col] = c
+            for T in sorted(rows):
+                system.add_row(rows[T])
+    return system
+
+
+def _all_modes(P, actions, basis):
+    """The rows of every mode n = 0..ceil(w) of every action."""
+    return _mode_rows(P, actions, basis, range(ceil(basis.weight) + 1))
+
+
+def _solve(system, P, w, basis):
+    rank, pivots, pivot_rows = system.eliminate()
+    return SolveReport(P, w, basis, rank, pivots, system.kernel(pivot_rows), system)
+
+
+@pytest.mark.parametrize("lie, weight, charge0, certified, all_candidates", [
+    ("osp(1|2)", 2, False, {}, True),
+    ("osp(1|2)", 3, False, {}, True),
+    ("osp(1|2)", 4, False, {}, True),
+    ("osp(1|2)", 4, True, {}, True),
+    ("osp(1|2)", 6, True, {}, False),
+    ("sl2", 2, False, {Fraction(-2): (0, 1)}, True),
+    ("sl2", 3, False, {Fraction(-2): (0, 1)}, True),
+])
+def test_reduced_system_equals_all_mode_system(lie, weight, charge0, certified,
+                                               all_candidates):
+    # rows from a generating set of the modes have the kernel of the rows
+    # from every mode, at the generic level and at every level tried
+    P = affine(builtin_lie(lie), K)
+    currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
+    basis = weight_basis(P, weight)
+    if charge0:
+        basis = charge_filter(basis, currents=[P.gen("H")], charges=[0])
+    reduced = commutant_basis(P, currents, weight, basis=basis)
+    full = _solve(_all_modes(P, [(J, None) for J in currents], basis), P, weight, basis)
+    full_rows = full.system.original_rows
+    assert len(reduced.system.original_rows) < len(full_rows)
+    # each reduced row is a full row, so at every level the full kernel lies
+    # in the reduced one, and neither is smaller than the generic kernel:
+    # the full kernel dimension can jump only where the reduced one does
+    assert all(row in full_rows for row in reduced.system.original_rows)
+    assert reduced.generic_rank == full.generic_rank
+    assert reduced.kernel_vectors == full.kernel_vectors
+    assert nongeneric_levels(reduced).certified == certified
+    if all_candidates:
+        # at weight 6 the 25 candidate levels of the full system take about
+        # a minute of exact ranks; the inclusion above stands in for them
+        assert nongeneric_levels(full).certified == certified
+    rng = random.Random(weight)
+    levels = list(certified) + [Fraction(rng.randint(1, 30), rng.randint(1, 5))
+                                for _ in range(3)]
+    for k0 in levels:
+        assert reduced.kernel_dim_at(k0) == full.kernel_dim_at(k0)
+
+
+def test_reduced_rows_osp_weight4(osp_weight4_system):
+    # Xp(0), Xm(0) and H(1) in place of the modes 0..4 of H, Xp and Xm
+    P = affine(builtin_lie("osp(1|2)"), K)
+    basis = weight_basis(P, 4)
+    actions = [(P.gen(name), None) for name in ("H", "Xp", "Xm")]
+    assert len(_all_modes(P, actions, basis).original_rows) == 641
+    assert len(osp_weight4_system.original_rows) == 333
+    expected = (_mode_rows(P, actions[:1], basis, [1]).original_rows
+                + _mode_rows(P, actions[1:], basis, [0]).original_rows)
+    assert osp_weight4_system.original_rows == expected
+
+
+def _sl2_without_h():
+    # [Xp, Xm] = H leaves the span of the currents
+    P = affine(builtin_lie("sl2"), K)
+    return P, [P.gen("Xp"), P.gen("Xm")], 2
+
+
+def _outer_derivation():
+    AS = symplectic_fermion(1).tensor(beta_gamma(1))
+    return AS, as_diagonal_sp_action(AS, 1)[0], 2
+
+
+def _parafermion():
+    # one abelian current: its positive modes commute, none is generated
+    P = affine(builtin_lie("sl2"), K)
+    return P, [P.gen("H")], 3
+
+
+@pytest.mark.parametrize("case", [_sl2_without_h, _outer_derivation, _parafermion])
+def test_commutant_rows_keep_every_mode(case):
+    P, actions, weight = case()
+    basis = weight_basis(P, weight)
+    pairs = [a if isinstance(a, tuple) else (a, None) for a in actions]
+    expected = _all_modes(P, pairs, basis).original_rows
+    assert commutant_system(P, actions, weight).original_rows == expected
+
+
+def test_zero_mode_rows_alone_miss_the_commutant():
+    # without a mode of degree one the kernel is too large: at weight 2 on
+    # osp(1|2) it holds sp2-invariants that a positive mode does not kill
+    P = affine(builtin_lie("osp(1|2)"), K)
+    currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
+    basis = weight_basis(P, 2)
+    zero_modes = _solve(_mode_rows(P, [(J, None) for J in currents], basis, [0]),
+                        P, 2, basis)
+    rejected = [v for v in zero_modes.kernel_elements()
+                if not verify_commutant(P, v, currents)]
+    assert rejected
+    assert commutant_basis(P, currents, 2).kernel_dim < zero_modes.kernel_dim

@@ -24,3 +24,7 @@ def test_suite_details_print_numbers(suite_report):
         "multiplier (3*k^2 + 20*k + 32); roots [-4, -8/3]; "
         "poles [-2, -3/2] reported separately"
     )
+    assert details["weight-8-decoupling"] == (
+        "multiplier (15*k^3 + 136*k^2 + 400*k + 384); roots [-4, -8/3, -12/5]; "
+        "poles [-2, -3/2] reported separately"
+    )
