@@ -38,13 +38,15 @@ every mode.  For m, n >= 0, [J_a(m), J_b(n)] = (J_a(0) J_b)(m + n): the
 cocycle term m delta(m+n, 0) J_a(1) J_b vanishes there, so these modes span
 a copy of g (x) C[t] that does not depend on the level.  An element killed
 by some modes is killed by the Lie algebra they generate, and modes above
-ceil(w) vanish on weight w.  So the rows of a minimal set of modes that
-generates span{J_a(n) : 0 <= n <= ceil(w)} cut out the whole commutant at
-every level: the zero modes of a smallest subset of the currents that
-generates g, then in each degree d >= 1 the d-modes, in order, that the
-brackets of lower degrees leave out of g (_generating_modes).  For simple g
-these are e_i(0), f_i(0) and one mode of degree one (Kac, Infinite-
-dimensional Lie algebras, ch. 7); an abelian current keeps every mode.
+ceil(w) vanish on weight w.  So the rows of a set of modes that generates
+span{J_a(n) : 0 <= n <= ceil(w)} cut out the whole commutant at every
+level: every zero mode, then in each degree d >= 1 the d-modes, in order,
+that the brackets of lower degrees leave out of g (_generating_modes).
+For simple g one mode of degree one is enough, since g (x) t C[t] is
+generated by g and f_theta(1) (Kac, Infinite-dimensional Lie algebras,
+ch. 7); an abelian current keeps every mode.  A zero mode that the others
+generate (H(0) for {H, Xp, Xm}) still gives rows: on a charge-0 basis it
+gives none, and on a full basis its one-entry rows cost no measurable time.
 When an action carries an outer derivation, or the currents' 0-products
 are not constant combinations of the currents or their 1-products not
 multiples of the vacuum, every mode gives rows.  verify_commutant stays
@@ -54,7 +56,6 @@ the independent check: it applies every mode of every current.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, gcd
 
 from .coefficients import (
@@ -479,12 +480,12 @@ def _generating_modes(P: VAPresentation, actions, nmax):
 
     Every mode n = 0..nmax of each current (n = 0 alone for an action
     without one) when an action carries a derivation or _current_brackets
-    finds no structure constants.  Otherwise a minimal generating set of
-    span{J_a(n) : 0 <= n <= nmax}: the zero modes of the first smallest
-    subset of the currents that generates their span g, then for d >= 1
-    the d-modes, in order, that the degree-d part leaves out of g.  That
-    part is spanned by the brackets of the parts of degrees i, j >= 1 with
-    i + j = d and the d-modes added, closed under ad g.
+    finds no structure constants.  Otherwise a generating set of
+    span{J_a(n) : 0 <= n <= nmax}: every zero mode, then for d >= 1 the
+    d-modes, in order, that the degree-d part leaves out of the span g of
+    the currents.  That part is spanned by the brackets of the parts of
+    degrees i, j >= 1 with i + j = d and the d-modes added, closed under
+    ad g.
     """
     every = [(a, n) for a, (current, _) in enumerate(actions)
              for n in range(nmax + 1 if current is not None else 1)]
@@ -515,19 +516,14 @@ def _generating_modes(P: VAPresentation, actions, nmax):
         return span
 
     unit = [{a: Fraction(1)} for a in range(dim)]
-    zero_modes = next(
-        subset for size in range(dim + 1) for subset in combinations(range(dim), size)
-        if len(close([], [unit[a] for a in subset], [unit[a] for a in subset])) == dim
-    )
-    ad_g = [unit[a] for a in zero_modes]
-    modes = [(a, 0) for a in zero_modes]
+    modes = [(a, 0) for a in range(dim)]
     graded = {}
     for d in range(1, nmax + 1):
         span = close([], [bracket(u, v) for i in range(1, d // 2 + 1)
-                          for u in graded[i] for v in graded[d - i]], ad_g)
+                          for u in graded[i] for v in graded[d - i]], unit)
         for a in range(dim):
             size = len(span)
-            if size < dim and len(close(span, [unit[a]], ad_g)) > size:
+            if size < dim and len(close(span, [unit[a]], unit)) > size:
                 modes.append((a, d))
         graded[d] = span
     return sorted(modes)
@@ -550,7 +546,7 @@ def _current_brackets(P: VAPresentation, currents):
         for Jb in currents:
             br = P.lambda_bracket(Ja, Jb)
             x = solve_span(currents, br.c(0))[0]
-            if (br.order() > 2 or set(br.c(1).data) - {()} or x is None
+            if (set(br.c(1).data) - {()} or x is None
                     or not all(c.is_constant() for c in x)):
                 return None
             row.append({c: v.constant_value() for c, v in enumerate(x) if v})

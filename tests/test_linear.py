@@ -700,13 +700,13 @@ def test_reduced_system_equals_all_mode_system(lie, weight, charge0, certified,
 
 
 def test_reduced_rows_osp_weight4(osp_weight4_system):
-    # Xp(0), Xm(0) and H(1) in place of the modes 0..4 of H, Xp and Xm
+    # the zero modes and H(1) in place of the modes 0..4 of H, Xp and Xm
     P = affine(builtin_lie("osp(1|2)"), K)
     basis = weight_basis(P, 4)
     actions = [(P.gen(name), None) for name in ("H", "Xp", "Xm")]
     assert len(_all_modes(P, actions, basis).original_rows) == 641
-    assert len(osp_weight4_system.original_rows) == 333
-    expected = (_mode_rows(P, actions[:1], basis, [1]).original_rows
+    assert len(osp_weight4_system.original_rows) == 459
+    expected = (_mode_rows(P, actions[:1], basis, [0, 1]).original_rows
                 + _mode_rows(P, actions[1:], basis, [0]).original_rows)
     assert osp_weight4_system.original_rows == expected
 
