@@ -479,8 +479,9 @@ def _generating_modes(P: VAPresentation, actions, nmax):
     """The modes (action index, n), sorted, whose rows commutant_system writes.
 
     Every mode n = 0..nmax of each current (n = 0 alone for an action
-    without one) when an action carries a derivation or _current_brackets
-    finds no structure constants.  Otherwise a generating set of
+    without one) when there is one action, when an action carries a
+    derivation or when _current_brackets finds no structure constants.
+    Otherwise a generating set of
     span{J_a(n) : 0 <= n <= nmax}: every zero mode, then for d >= 1 the
     d-modes, in order, that the degree-d part leaves out of the span g of
     the currents.  That part is spanned by the brackets of the parts of
@@ -489,7 +490,9 @@ def _generating_modes(P: VAPresentation, actions, nmax):
     """
     every = [(a, n) for a, (current, _) in enumerate(actions)
              for n in range(nmax + 1 if current is not None else 1)]
-    if any(derivation is not None for _, derivation in actions):
+    # one current's 0-product with itself is zero or leaves its span, so a
+    # single current keeps every mode without computing its brackets
+    if len(actions) == 1 or any(derivation is not None for _, derivation in actions):
         return every
     brackets = _current_brackets(P, [current for current, _ in actions])
     if brackets is None:

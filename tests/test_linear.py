@@ -728,7 +728,14 @@ def _parafermion():
     return P, [P.gen("H")], 3
 
 
-@pytest.mark.parametrize("case", [_sl2_without_h, _outer_derivation, _parafermion])
+def _two_heisenberg():
+    # two commuting currents: the abelian case of the bracket closure
+    P = heisenberg(2)
+    return P, [P.gen("a1"), P.gen("a2")], 3
+
+
+@pytest.mark.parametrize("case", [_sl2_without_h, _outer_derivation, _parafermion,
+                                  _two_heisenberg])
 def test_commutant_rows_keep_every_mode(case):
     P, actions, weight = case()
     basis = weight_basis(P, weight)
