@@ -23,13 +23,18 @@ VAPresentation._prod.  Derivatives live there too: the divided power
 D^k M / k! is the entry M_(-k-1) 1, built from the entry for k - 1, so
 `derivative`, `Element.deriv` and the products a_(-k-1) b all read it.
 `check()` computes each lambda-bracket of two generators once and reads it
-for both skew-symmetry and Jacobi.
+for both skew-symmetry and Jacobi.  It first checks that the table is
+graded: the entry c_n of [a_lambda b] is homogeneous of weight
+wa + wb - n - 1, which the negative-weight shortcut of `_prod_raw` assumes.
+Every term of Jacobi on generators a, b, c at (m, n) then has weight
+wa + wb + wc - m - n - 2, so only m + n <= floor(wa + wb + wc) - 2 can fail,
+and only that range is tried.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, floor, perm
 
 from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc, exact_scalar
 
@@ -376,15 +381,27 @@ class VAPresentation:
     # -- consistency checks -----------------------------------------------------------
 
     def check(self) -> "PresentationReport":
-        """Verify skew-symmetry on generator pairs and Jacobi on triples.
+        """Verify the grading of the table, skew-symmetry and Jacobi.
 
-        Each bracket of two generators is computed once and read by both.
+        Each table entry c_n of [a_lambda b] must be homogeneous of weight
+        wa + wb - n - 1; every one that is not is reported first, as
+        ("grading", (a, b, n)).  Then skew-symmetry is checked on generator
+        pairs and Jacobi on triples, (m, n) in row-major order over
+        m + n <= floor(wa + wb + wc) - 2, the only range where a graded
+        table can fail.  Each bracket of two generators is computed once and
+        read by both.
         """
         ids = range(self.ngen)
         gens = [self.gen(i) for i in ids]
         names = [g.name for g in self.generators]
-        br = {(i, j): self.lambda_bracket(gens[i], gens[j]) for i in ids for j in ids}
         failures = []
+        for (i, j), cs in sorted(self.table.items()):
+            for n, cn in enumerate(cs):
+                wt = self.gen_weight(i) + self.gen_weight(j) - n - 1
+                if any(self.mono_weight(M) != wt for M in cn):
+                    failures.append(("grading", (names[i], names[j], n)))
+        br = {(i, j): tuple(cn.data for cn in self.lambda_bracket(gens[i], gens[j]).coeffs)
+              for i in ids for j in ids}
         for i in ids:
             for j in ids:
                 sign = -1 if (self.gen_parity(i) and self.gen_parity(j)) else 1
@@ -393,41 +410,50 @@ class VAPresentation:
         for i in ids:
             for j in ids:
                 for m in ids:
-                    bad = self._jacobi_fail(gens[i], gens[j], gens[m],
-                                            br[i, j], br[i, m], br[j, m])
+                    bad = self._jacobi_fail(i, j, m, br[i, j], br[i, m], br[j, m])
                     if bad is not None:
                         failures.append(("jacobi", (names[i], names[j], names[m]) + bad))
         return PresentationReport(self, failures)
 
     def _skew_ok(self, ab, ba, sign) -> bool:
         # b_(n) a = -(-1)^{p(a)p(b)} sum_j (-1)^{n+j} D^j(a_(n+j) b) / j!,
-        # where D^j x / j! = x_(-j-1) 1
-        one = self.vacuum()
-        for n in range(max(ab.order(), ba.order())):
-            expected = self.zero()
-            for j in range(ab.order() - n):
-                term = self.nprod(ab.c(n + j), one, -j - 1)
-                expected = expected + term * ((-1) ** (n + j) * -sign)
-            if ba.c(n) != expected:
+        # where D^j x / j! = x_(-j-1) 1; ab and ba are the lambda-coefficients
+        for n in range(max(len(ab), len(ba))):
+            diff = dict(ba[n]) if n < len(ba) else {}
+            for j in range(len(ab) - n):
+                if ab[n + j]:
+                    _add_data(diff, self._nprod_data_mono(ab[n + j], (), -j - 1),
+                              RatFunc.const((-1) ** (n + j) * sign))
+            if _clean(diff):
                 return False
         return True
 
-    def _jacobi_fail(self, a, b, c, ab, ac, bc):
+    def _jacobi_fail(self, i, j, k, ab, ac, bc):
         # a_(m)(b_(n) c) - (-1)^{p(a)p(b)} b_(n)(a_(m) c)
-        #   = sum_i C(m, i) (a_(i) b)_(m+n-i) c,
-        # with each (a_(i) b)_(j) c computed once
-        sign = -1 if (self.parity_of(a) and self.parity_of(b)) else 1
-        top = int(self.weight_of(a) + self.weight_of(b) + self.weight_of(c)) + 1
+        #   = sum_l C(m, l) (a_(l) b)_(m+n-l) c
+        # for the generators a, b, c = i, j, k.  Every term has weight
+        # wa + wb + wc - m - n - 2, and no monomial has negative weight, so
+        # only m + n <= floor(wa + wb + wc) - 2 can fail.  Zero
+        # lambda-coefficients are skipped, and each (a_(l) b)_(m+n-l) c is
+        # computed once.
+        a, b, c = ((i, 0),), ((j, 0),), ((k, 0),)
+        minus_sign = RatFunc.const(1 if (self.gen_parity(i) and self.gen_parity(j)) else -1)
+        top = floor(self.gen_weight(i) + self.gen_weight(j) + self.gen_weight(k)) - 2
         abc = {}
-        for m in range(top):
-            for n in range(top):
-                lhs = self.nprod(a, bc.c(n), m) - self.nprod(b, ac.c(m), n) * sign
-                rhs = self.zero()
-                for i in range(m + 1):
-                    if (i, m + n - i) not in abc:
-                        abc[i, m + n - i] = self.nprod(ab.c(i), c, m + n - i)
-                    rhs = rhs + abc[i, m + n - i] * comb(m, i)
-                if lhs != rhs:
+        for m in range(top + 1):
+            for n in range(top + 1 - m):
+                diff = {}
+                if n < len(bc) and bc[n]:
+                    _add_data(diff, self._nprod_mono_data(a, bc[n], m), RF_ONE)
+                if m < len(ac) and ac[m]:
+                    _add_data(diff, self._nprod_mono_data(b, ac[m], n), minus_sign)
+                for l in range(min(m + 1, len(ab))):
+                    if not ab[l]:
+                        continue
+                    if (l, m + n - l) not in abc:
+                        abc[l, m + n - l] = self._nprod_data_mono(ab[l], c, m + n - l)
+                    _add_data(diff, abc[l, m + n - l], RatFunc.const(-comb(m, l)))
+                if _clean(diff):
                     return (m, n)
         return None
 

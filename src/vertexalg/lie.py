@@ -118,39 +118,51 @@ class LiePresentation:
         self._check_invariance()
 
     def _check_jacobi(self):
-        # [x_i, [x_j, x_m]] = [[x_i, x_j], x_m] + (-1)^{p_i p_j} [x_j, [x_i, x_m]]
+        """[x_i, [x_j, x_m]] = [[x_i, x_j], x_m] + (-1)^{p_i p_j} [x_j, [x_i, x_m]].
+
+        Both sides are summed from the structure constants.  A triple whose
+        brackets [x_i, x_j], [x_j, x_m] and [x_i, x_m] all vanish satisfies
+        it trivially and is skipped; the first failing triple is still the
+        first in (i, j, m) order.
+        """
         n = self.dim
         for i in range(n):
             for j in range(n):
                 sign = -1 if (self.parities[i] and self.parities[j]) else 1
+                bij = self.bracket(i, j)
                 for m in range(n):
-                    lhs = self.bracket_vectors({i: Fraction(1)}, self.bracket(j, m))
-                    rhs = self.bracket_vectors(self.bracket(i, j), {m: Fraction(1)})
-                    for t, c in self.bracket_vectors(
-                        {j: Fraction(1)}, self.bracket(i, m)
-                    ).items():
-                        rhs[t] = rhs.get(t, Fraction(0)) + sign * c
-                    rhs = {t: c for t, c in rhs.items() if c}
-                    if lhs != rhs:
+                    bjm, bim = self.bracket(j, m), self.bracket(i, m)
+                    if not (bij or bjm or bim):
+                        continue
+                    diff = {}
+                    # [x_i, [x_j, x_m]] - (-1)^{p_i p_j} [x_j, [x_i, x_m]]
+                    for scale, outer, inner in ((1, i, bjm), (-sign, j, bim)):
+                        for t, c in inner.items():
+                            for s, d in self.bracket(outer, t).items():
+                                diff[s] = diff.get(s, 0) + scale * c * d
+                    # - [[x_i, x_j], x_m]
+                    for t, c in bij.items():
+                        for s, d in self.bracket(t, m).items():
+                            diff[s] = diff.get(s, 0) - c * d
+                    if any(diff.values()):
                         raise LieError(
                             "Jacobi identity fails on triple "
                             f"({self.names[i]}, {self.names[j]}, {self.names[m]})"
                         )
 
     def _check_invariance(self):
-        # B([x,y], z) = B(x, [y,z])
+        # B([x,y], z) = B(x, [y,z]); both sides vanish when [x_i, x_j] and
+        # [x_j, x_m] do
         n = self.dim
         for i in range(n):
             for j in range(n):
+                bij = self.bracket(i, j)
                 for m in range(n):
-                    lhs = sum(
-                        (c * self.form[t][m] for t, c in self.bracket(i, j).items()),
-                        Fraction(0),
-                    )
-                    rhs = sum(
-                        (c * self.form[i][t] for t, c in self.bracket(j, m).items()),
-                        Fraction(0),
-                    )
+                    bjm = self.bracket(j, m)
+                    if not (bij or bjm):
+                        continue
+                    lhs = sum((c * self.form[t][m] for t, c in bij.items()), Fraction(0))
+                    rhs = sum((c * self.form[i][t] for t, c in bjm.items()), Fraction(0))
                     if lhs != rhs:
                         raise LieError(
                             "form not invariant on triple "
@@ -293,18 +305,19 @@ def _mat_add_scaled(a, b, c):
 def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
     """Even Lie algebra spanned by given matrices, trace form times form_scale.
 
-    Structure constants come from expanding every commutator in the span,
-    all in one elimination over Q.  The matrices must be linearly
-    independent and closed under commutator; LieError says which fails.
+    Structure constants come from expanding every commutator [x_i, x_j] with
+    i < j in the span, all in one elimination over Q; [x_j, x_i] is minus
+    that expansion.  The matrices must be linearly independent and closed
+    under commutator; LieError says which fails.
     """
     dim = len(matrices)
     size = len(matrices[0])
     cells = [(r, s) for r in range(size) for s in range(size)]
     # one row per matrix entry; the unknowns are coordinates in the basis,
-    # and the commutator [x_i, x_j] is right-hand side dim * (i + 1) + j
+    # and the commutator [x_i, x_j], i < j, is right-hand side dim * (i + 1) + j
     rows = [{m: mat[r][s] for m, mat in enumerate(matrices)} for r, s in cells]
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i + 1, dim):
             comm = _mat_sub(_mat_mul(matrices[i], matrices[j]), _mat_mul(matrices[j], matrices[i]))
             for row, (r, s) in zip(rows, cells):
                 row[dim * (i + 1) + j] = comm[r][s]
@@ -313,7 +326,7 @@ def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
         raise LieError("matrices are linearly dependent")
     brackets = {}
     for i in range(dim):
-        for j in range(dim):
+        for j in range(i + 1, dim):
             # a zero commutator occurs in no row, so solutions has no entry
             coords = solutions.get(dim * (i + 1) + j, ())
             if coords is None:
@@ -321,6 +334,7 @@ def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
             comp = {m: c for m, c in enumerate(coords) if c}
             if comp:
                 brackets[(i, j)] = comp
+                brackets[(j, i)] = {m: -c for m, c in comp.items()}
     form = [
         [form_scale * _mat_trace(_mat_mul(matrices[i], matrices[j])) for j in range(dim)]
         for i in range(dim)

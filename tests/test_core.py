@@ -249,6 +249,83 @@ def test_check_presentation_detects_jacobi_error():
     ]
 
 
+def test_check_presentation_detects_ungraded_entries():
+    # [Xp_lambda Xm] = H + k at lambda^0 mixes weights 1 and 0; a lambda^2
+    # term of a Heisenberg bracket would need weight -2
+    P = affine(builtin_lie("sl2"), K)
+    table = dict(P.table)
+    table[(1, 2)] = ({((0, 0),): RF_ONE, (): K},) + P.table[(1, 2)][1:]
+    failures = VAPresentation(P.generators, table, name="ungraded-sl2").check().failures
+    assert failures[0] == ("grading", ("Xp", "Xm", 0))
+    assert [f for f in failures if f[0] == "grading"] == [failures[0]]
+    P = heisenberg(1)
+    table = {(0, 0): P.table[(0, 0)] + ({(): RF_ONE},)}
+    failures = VAPresentation(P.generators, table, name="ungraded-h").check().failures
+    assert failures == [("grading", ("a1", "a1", 2))]
+
+
+def _reference_check_failures(P):
+    """Skew-symmetry and Jacobi as check() once did them, on Elements.
+
+    Jacobi tries every (m, n) in [0, floor(wa + wb + wc)]^2, with no grading
+    argument, so it is an independent reference for the restricted range.
+    """
+    ids = range(P.ngen)
+    gens = [P.gen(i) for i in ids]
+    names = [g.name for g in P.generators]
+    br = {(i, j): P.lambda_bracket(gens[i], gens[j]) for i in ids for j in ids}
+    failures = []
+    for i in ids:
+        for j in ids:
+            ab, ba = br[i, j], br[j, i]
+            sign = -1 if (P.gen_parity(i) and P.gen_parity(j)) else 1
+            for n in range(max(ab.order(), ba.order())):
+                expected = P.zero()
+                for t in range(ab.order() - n):
+                    term = P.nprod(ab.c(n + t), P.vacuum(), -t - 1)
+                    expected = expected + term * ((-1) ** (n + t) * -sign)
+                if ba.c(n) != expected:
+                    failures.append(("skew", (names[i], names[j])))
+                    break
+    for i in ids:
+        for j in ids:
+            for k in ids:
+                a, b, c = gens[i], gens[j], gens[k]
+                ab, ac, bc = br[i, j], br[i, k], br[j, k]
+                sign = -1 if (P.gen_parity(i) and P.gen_parity(j)) else 1
+                top = int(P.gen_weight(i) + P.gen_weight(j) + P.gen_weight(k))
+                bad = next(
+                    ((m, n) for m in range(top + 1) for n in range(top + 1)
+                     if P.nprod(a, bc.c(n), m) - P.nprod(b, ac.c(m), n) * sign
+                     != sum((P.nprod(ab.c(t), c, m + n - t) * comb(m, t)
+                             for t in range(m + 1)), P.zero())),
+                    None)
+                if bad is not None:
+                    failures.append(("jacobi", (names[i], names[j], names[k]) + bad))
+    return failures
+
+
+def test_check_matches_full_range_reference_on_tampered_tables():
+    # one coefficient of a graded table shifted by +-1 or +-2 keeps the
+    # grading, so check() must report exactly what the full (m, n) range finds
+    rng = random.Random(59)
+    broken = 0
+    for t in range(24):
+        P = affine(builtin_lie(("sl2", "osp(1|2)", "sl3")[t % 3]), K)
+        table = {key: [dict(cn) for cn in cs] for key, cs in P.table.items()}
+        key = rng.choice(sorted(table))
+        n = rng.choice([n for n, cn in enumerate(table[key]) if cn])
+        M = rng.choice(sorted(table[key][n]))
+        table[key][n][M] += rng.choice((-2, -1, 1, 2))
+        if not table[key][n][M]:
+            del table[key][n][M]
+        failures = VAPresentation(P.generators, table, name="tampered").check().failures
+        reference = _reference_check_failures(VAPresentation(P.generators, table))
+        assert failures == reference, (key, n, M)
+        broken += bool(failures)
+    assert broken >= 20
+
+
 def test_divided_powers():
     # one call to derivative(x, t) is t single derivatives
     for P in (affine(builtin_lie("sl2"), K), affine(builtin_lie("osp(1|2)"), K),

@@ -1,13 +1,17 @@
 """Lie presentations: validation, built-ins, dual bases, Casimir data."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from vertexalg.lie import (
     LieError,
+    LiePresentation,
     NotSimpleError,
     builtin_lie,
+    builtin_names,
     lie_from_constants,
     lie_from_matrices,
 )
@@ -53,6 +57,92 @@ def test_jacobi_failure_names_triple():
             },
             [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
         )
+
+
+def _dense_validation_message(names, parities, brackets, form):
+    """The first Jacobi or invariance failure, over every triple.
+
+    Brackets of unit vectors are expanded in full, whether or not they
+    vanish, so this is an independent reference for the sparse checks.
+    """
+    def bracket(x, y):
+        out = {}
+        for (i, a), (j, b) in product(x.items(), y.items()):
+            for m, c in brackets.get((i, j), {}).items():
+                out[m] = out.get(m, 0) + a * b * c
+        return {m: c for m, c in out.items() if c}
+
+    def pair(x, y):
+        return sum(a * b * form[i][j] for (i, a), (j, b) in product(x.items(), y.items()))
+
+    unit = [{i: Fraction(1)} for i in range(len(names))]
+    triples = list(product(range(len(names)), repeat=3))
+    for i, j, m in triples:
+        sign = -1 if (parities[i] and parities[j]) else 1
+        rhs = bracket(bracket(unit[i], unit[j]), unit[m])
+        for t, c in bracket(unit[j], bracket(unit[i], unit[m])).items():
+            rhs[t] = rhs.get(t, 0) + sign * c
+        if bracket(unit[i], bracket(unit[j], unit[m])) != {t: c for t, c in rhs.items() if c}:
+            return f"Jacobi identity fails on triple ({names[i]}, {names[j]}, {names[m]})"
+    for i, j, m in triples:
+        if pair(bracket(unit[i], unit[j]), unit[m]) != pair(unit[i], bracket(unit[j], unit[m])):
+            return f"form not invariant on triple ({names[i]}, {names[j]}, {names[m]})"
+    return None
+
+
+def test_sparse_checks_match_dense_reference():
+    # one structure constant (with its super-antisymmetric partner) or one
+    # form entry (with its supersymmetric partner) shifted
+    rng = random.Random(61)
+    for name in ("sl3", "osp(1|2)"):
+        L = builtin_lie(name)
+        for t in range(6):
+            brackets = {key: dict(comp) for key, comp in L.brackets.items()}
+            form = [list(row) for row in L.form]
+            shift = rng.choice((-2, -1, 1, 2))
+            if t % 2 == 0:
+                i, j = rng.choice([(i, j) for i, j in sorted(brackets) if i != j])
+                m = rng.choice(sorted(brackets[i, j]))
+                brackets[i, j][m] += shift
+                brackets[j, i][m] -= (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+            else:
+                i, j = rng.choice([(i, j) for i, j in product(range(L.dim), repeat=2)
+                                   if form[i][j] and i <= j])
+                form[i][j] += shift
+                if i != j:
+                    form[j][i] += (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+            want = _dense_validation_message(L.names, L.parities, brackets, form)
+            assert want is not None
+            with pytest.raises(LieError) as err:
+                LiePresentation(L.names, L.parities, brackets, form)
+            assert str(err.value) == want
+
+
+def test_matrix_brackets_expand_both_orders(monkeypatch):
+    built = []
+
+    def recording(names, matrices, *args, **kwargs):
+        built.append((real(names, matrices, *args, **kwargs), matrices))
+        return built[-1][0]
+
+    real = lie_from_matrices
+    monkeypatch.setattr("vertexalg.lie.lie_from_matrices", recording)
+    for name in builtin_names():
+        builtin_lie(name)
+    assert {L.name for L, _ in built} == {
+        "sl2", "sl3", "sp2", "sp4", "so2", "so3", "gl1", "gl2", "gl3"}
+
+    def mul(a, b):
+        return [[sum(a[r][t] * b[t][s] for t in range(len(b))) for s in range(len(b[0]))]
+                for r in range(len(a))]
+
+    for L, mats in built:
+        for i, j in product(range(L.dim), repeat=2):
+            ab, ba = mul(mats[i], mats[j]), mul(mats[j], mats[i])
+            comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            expanded = [[sum(c * mats[m][r][s] for m, c in L.bracket(i, j).items())
+                         for s in range(len(comm))] for r in range(len(comm))]
+            assert expanded == comm, (L.name, L.names[i], L.names[j])
 
 
 def test_builtin_catalog_validates():
