@@ -47,8 +47,11 @@ MAX_PARSED_DEGREE = 200
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Fraction, as tuples (low degree first).
-# The zero polynomial is the empty tuple.
+# Dense univariate polynomials as tuples (low degree first), with int or
+# Fraction coefficients: one set of helpers serves both types.  The zero
+# polynomial is the empty tuple.  RatFunc keeps Fraction tuples; int tuples
+# are Z[k], where every polynomial gcd is taken, on primitive integer parts,
+# and where the fraction-free elimination in linear keeps its rows.
 
 Poly = tuple
 
@@ -87,28 +90,20 @@ def pneg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def psub(p: Poly, q: Poly) -> Poly:
-    return padd(p, pneg(q))
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
+    """p*q; a coefficient that no term reaches is a zero of p's type."""
     if not p or not q:
         return PZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[-1] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return pnormalize(out)
-
-
-def pscale(p: Poly, c) -> Poly:
-    if not c:
-        return PZERO
-    return tuple(a * c for a in p)
+    return tuple(out)
 
 
 def pdivmod(p: Poly, q: Poly):
+    """Quotient and remainder over Q; p has Fraction coefficients."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
@@ -140,72 +135,80 @@ def pmonic(p: Poly) -> Poly:
     return tuple(c / lead for c in p)
 
 
-def peval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def peval(p: Poly, x):
+    """p(x); an int polynomial at an int x gives an int."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def pcontent(coeffs) -> Fraction:
-    """Positive rational content of a polynomial, or of any iterable of
-    coefficients (such as all entries of a row); content of zero is 0."""
-    num = 0
-    den = 1
-    for c in coeffs:
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    return Fraction(num, den)
-
-
-def plcm(polys) -> Poly:
-    """Monic least common multiple; the lcm of no polynomials is 1."""
-    return pmonic(tuple(map(Fraction, _zlcm(polys))))
+def zprimitive(p):
+    """(z, s) with p = s*z for a nonzero polynomial p over Q (Fraction or int
+    coefficients): z primitive over Z with a positive leading coefficient,
+    s a Fraction, an integer when p is over Z."""
+    den = lcm(*[c.denominator for c in p])
+    if den == 1:
+        ints = [c.numerator for c in p]
+    else:
+        ints = [c.numerator * (den // c.denominator) for c in p]
+    cont = gcd(*ints)
+    if ints[-1] < 0:
+        cont = -cont
+    if cont == den == 1:  # already primitive over Z: skip building s
+        return tuple(ints), PONE[0]
+    return tuple([x // cont for x in ints]), Fraction(cont, den)
 
 
 def pprimitive(p: Poly) -> Poly:
-    """Primitive part: content removed, leading coefficient positive."""
-    if not p:
-        return PZERO
-    cont = pcontent(p)
-    if p[-1] < 0:
-        cont = -cont
-    return tuple(c / cont for c in p)
+    """zprimitive's primitive part with Fraction coefficients; zero for zero."""
+    return tuple(map(Fraction, zprimitive(p)[0])) if p else PZERO
+
+
+def zlcm(polys):
+    """Primitive least common multiple over Z[k] of nonzero polynomials
+    over Q; the lcm of no polynomials is 1."""
+    out = (1,)
+    for p in polys:
+        if len(p) > 1:
+            out = pmul(out, zgcd(out, zprimitive(p)[0])[2])
+    return out
 
 
 def rational_roots(p: Poly):
     """All rational roots with multiplicity, plus the root-free cofactor.
 
-    Returns (roots, cofactor) where roots is a dict Fraction -> multiplicity
-    and cofactor is the monic polynomial left after dividing the roots out.
-    The cofactor has no rational roots; no further factorization over Q is
-    attempted.  The cost is polynomial in the degree and in the bit length
-    of the coefficients (see _rational_real_roots).
+    p has int or Fraction coefficients.  Returns (roots, cofactor) where
+    roots is a dict Fraction -> multiplicity and cofactor is the monic
+    Fraction polynomial left after dividing the roots out.  The cofactor has
+    no rational roots; no further factorization over Q is attempted.  The
+    cost is polynomial in the degree and in the bit length of the
+    coefficients (see _rational_real_roots).
     """
     if not p:
         raise CoefficientError("rational_roots of the zero polynomial")
     roots = {}
     # strip powers of t
     low = 0
-    while low < len(p) and p[low] == 0:
+    while p[low] == 0:
         low += 1
     if low:
         roots[Fraction(0)] = low
         p = p[low:]
-    # clear to integer coefficients, kept as Fractions so division stays exact
-    den = lcm(*(c.denominator for c in p))
-    ip = tuple(c * den for c in p)
+    ip = zprimitive(p)[0]
     if len(ip) > 1:
         for root in _rational_real_roots(ip):
-            while len(ip) > 1 and peval(ip, root) == 0:
+            # ip is primitive, so den*t - num divides it over Z[t] exactly
+            # when root is a root (Gauss's lemma)
+            factor = (-root.numerator, root.denominator)
+            while (quo := zquo(ip, factor)) is not None:
                 roots[root] = roots.get(root, 0) + 1
-                ip = pdivmod(ip, (-root, Fraction(1)))[0]
-    return roots, pmonic(ip)
+                ip = quo
+    return roots, pmonic(tuple(map(Fraction, ip)))
 
 
 def _rational_real_roots(p):
-    """Distinct rational roots of a nonconstant polynomial with integer
-    (Fraction) coefficients.
+    """Distinct rational roots of a nonconstant primitive polynomial over Z.
 
     Exact real-root isolation of the squarefree part f by bisection with a
     Sturm sequence (as Collins and Akritas 1976 bisect with Descartes' rule):
@@ -216,20 +219,20 @@ def _rational_real_roots(p):
     denominator at most |a|.  Each candidate is kept only if f vanishes on it
     exactly.
     """
-    deriv = tuple(i * c for i, c in enumerate(p))[1:]
-    f = pprimitive(pdivmod(p, pgcd(p, deriv))[0])
-    lead = int(f[-1])
+    f = zgcd(p, tuple(i * c for i, c in enumerate(p))[1:])[1]
+    lead = f[-1]
     sturm = [f, tuple(i * c for i, c in enumerate(f))[1:]]
     while pdeg(sturm[-1]) > 0:
-        rem = pdivmod(sturm[-2], sturm[-1])[1]
-        cont = pcontent(rem)
-        sturm.append(tuple(-c / cont for c in rem))
+        # the negated remainder, divided by a positive constant
+        z, s = zprimitive(pdivmod(tuple(map(Fraction, sturm[-2])), sturm[-1])[1])
+        sturm.append(tuple(-c for c in z) if s > 0 else z)
 
     def changes(x):
         signs = [v > 0 for v in (peval(q, x) for q in sturm) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    bound = 1 + max(abs(c) for c in f) / lead  # every root lies in (-bound, bound)
+    # every root lies in (-bound, bound)
+    bound = 1 + Fraction(max(abs(c) for c in f), lead)
     width = Fraction(1, 2 * lead * lead)
     found = []
     intervals = [(-bound, bound, changes(-bound), changes(bound))]
@@ -246,6 +249,171 @@ def _rational_real_roots(p):
         vm = changes(mid)
         intervals += [(a, mid, va, vm), (mid, b, vm, vb)]
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Z: the gcd and exact quotients of int tuples, on which the
+# helpers above rest for both coefficient types.
+
+# GCDHEU evaluation points tried before the Euclid fallback
+_HEURISTIC_TRIES = 6
+
+
+def zcombine(a, v, b, w):
+    """a*v - b*w for integer polynomials."""
+    out = [0] * (max(len(a) + len(v), len(b) + len(w)) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(v):
+            out[i + j] += x * y
+    for i, x in enumerate(b):
+        for j, y in enumerate(w):
+            out[i + j] -= x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def zquo(a, b):
+    """a/b for integer polynomials when b divides a over Z[k], else None."""
+    if not a:
+        return ()
+    db = len(b) - 1
+    if len(a) <= db or (b[0] and a[0] % b[0]) or (a[0] and not b[0]):
+        return None
+    rem = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return tuple(quo) if not any(rem[:db]) else None
+
+
+def zgcd(a, b):
+    """gcd over Z[k] of two nonzero integer polynomials, with the cofactors:
+    (g, a/g, b/g), g primitive with a positive leading coefficient.
+
+    The heuristic gcd answers almost always; when it gives up, Euclid's
+    algorithm over Q is the proven fallback."""
+    pa, ca = zprimitive(a)
+    pb, cb = zprimitive(b)
+    if len(pa) == 1 or len(pb) == 1:
+        g, qa, qb = (1,), pa, pb
+    else:
+        g, qa, qb = _heuristic_gcd(pa, pb) or _euclid_gcd(pa, pb)
+    # a and b are over Z, so their contents are integers
+    ca, cb = ca.numerator, cb.numerator
+    if ca != 1:
+        qa = tuple(x * ca for x in qa)
+    if cb != 1:
+        qb = tuple(x * cb for x in qb)
+    return g, qa, qb
+
+
+def _heuristic_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet 1989, J. Symbolic Comput. 7) on two
+    primitive nonconstant integer polynomials: (g, a/g, b/g), or None.
+
+    Take an integer xi >= 2 min(|a|, |b|) + 2 (max norms) and write
+    gamma = gcd(a(xi), b(xi)) in symmetric xi-adic digits, the coefficients
+    of h with h(xi) = gamma.  If the primitive part H of h divides a and b,
+    it is their gcd G: G = H*Q, and G(xi) | gamma = c*H(xi) gives
+    Q(xi) | c, where the content c of h is at most xi/2.  Every root of Q is
+    a root of a and of b, so smaller than 1 + min(|a|, |b|) <= xi/2 in
+    modulus, and |Q(xi)| > (xi/2)^deg Q; so Q is constant.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEURISTIC_TRIES):
+        gamma = gcd(peval(a, xi), peval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        if len(digits) == 1:
+            return (1,), a, b
+        if digits:
+            g = zprimitive(digits)[0]
+            qa = zquo(a, g)
+            if qa is not None:
+                qb = zquo(b, g)
+                if qb is not None:
+                    return g, qa, qb
+        xi = xi * 73794 // 27011  # the next point, about 2.73 times larger
+    return None
+
+
+def _euclid_gcd(a, b):
+    """The proven path: Euclid's algorithm over Q, then exact cofactors."""
+    p, q = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+    while q:
+        p, q = q, pdivmod(p, q)[1]
+    g = zprimitive(p)[0]
+    return g, zquo(a, g), zquo(b, g)
+
+
+def integer_row(row: dict):
+    """Clear the denominators of a row of nonzero RatFunc values.
+
+    Returns (den, out): den is the monic lcm of the denominators over Q,
+    and out maps each column to s*den*row[col] as an integer polynomial,
+    for one positive rational s common to the row.
+    """
+    dens = [v.den for v in row.values() if len(v.den) > 1]
+    if not dens:
+        den, polys = PONE, {c: v.num for c, v in row.items()}
+    else:
+        big = zlcm(dens)
+        den = pmonic(tuple(map(Fraction, big)))
+        polys = {}
+        for c, v in row.items():
+            d = zprimitive(v.den)[0]
+            polys[c] = pmul(v.num, tuple(x * d[-1] for x in zquo(big, d)))
+    scale = lcm(*(x.denominator for v in polys.values() for x in v))
+    return den, {c: tuple(x.numerator * (scale // x.denominator) for x in v)
+                 for c, v in polys.items()}
+
+
+def _cancel(num: Poly, den: Poly):
+    """num/den over Q with their gcd divided out and den made monic; both
+    have positive degree."""
+    a, sa = zprimitive(num)
+    b, sb = zprimitive(den)
+    g, a, b = zgcd(a, b)
+    if len(g) == 1:
+        return num, den
+    lead = b[-1]
+    scale = sa / (sb * lead)
+    return tuple(x * scale for x in a), tuple(Fraction(x, lead) for x in b)
+
+
+def _add_over_z(x, y):
+    """x + y for RatFuncs with nonzero numerators and different denominators,
+    over Z[k]: with g the gcd of the denominators, the sum is
+    (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), then reduced."""
+    n1, s1 = zprimitive(x.num)
+    d1, t1 = zprimitive(x.den)
+    n2, s2 = zprimitive(y.num)
+    d2, t2 = zprimitive(y.den)
+    r1, r2 = s1 / t1, s2 / t2
+    b1, b2 = r1.denominator, r2.denominator
+    _, d1g, d2g = zgcd(d1, d2)
+    num = zcombine((r1.numerator * b2,), pmul(n1, d2g),
+                   (-r2.numerator * b1,), pmul(n2, d1g))
+    if not num:
+        return RF_ZERO
+    _, num, den = zgcd(num, pmul(d1, d2g))
+    lead = den[-1]
+    scale = b1 * b2 * lead
+    return RatFunc(tuple(Fraction(c, scale) for c in num),
+                   tuple(Fraction(c, lead) for c in den), _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,219 +467,6 @@ def qsolve(rows, ncols):
                 x[col] = (prow.get(b, 0) - sum(v * x[c] for c, v in tail)) / prow[col]
             solutions[b] = x
     return len(pivots), solutions
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials over Z, as tuples of int (low degree first).
-# Every polynomial gcd is taken here, on primitive integer parts, and the
-# fraction-free elimination in linear keeps its rows in this form.
-
-# GCDHEU evaluation points tried before the Euclid fallback
-_HEURISTIC_TRIES = 6
-
-
-def zprimitive(p):
-    """(z, s) with p = s*z for a nonzero polynomial p over Q (Fraction or int
-    coefficients): z primitive over Z with a positive leading coefficient,
-    s a Fraction."""
-    den = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    cont = gcd(*ints)
-    if ints[-1] < 0:
-        cont = -cont
-    return tuple(x // cont for x in ints), Fraction(cont, den)
-
-
-def zmul(a, b):
-    """a*b for integer polynomials."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def zcombine(a, v, b, w):
-    """a*v - b*w for integer polynomials."""
-    out = [0] * (max(len(a) + len(v), len(b) + len(w)) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(v):
-            out[i + j] += x * y
-    for i, x in enumerate(b):
-        for j, y in enumerate(w):
-            out[i + j] -= x * y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def zquo(a, b):
-    """a/b for integer polynomials when b divides a over Z[k], else None."""
-    if not a:
-        return ()
-    db = len(b) - 1
-    if len(a) <= db or (b[0] and a[0] % b[0]) or (a[0] and not b[0]):
-        return None
-    rem = list(a)
-    lead = b[-1]
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        c, r = divmod(rem[i + db], lead)
-        if r:
-            return None
-        if c:
-            quo[i] = c
-            for j in range(db):
-                rem[i + j] -= c * b[j]
-    return tuple(quo) if not any(rem[:db]) else None
-
-
-def zgcd(a, b):
-    """gcd over Z[k] of two nonzero integer polynomials, with the cofactors:
-    (g, a/g, b/g), g primitive with a positive leading coefficient.
-
-    The heuristic gcd answers almost always; when it gives up, Euclid's
-    algorithm over Q is the proven fallback."""
-    pa, ca = _zsplit(a)
-    pb, cb = _zsplit(b)
-    if len(pa) == 1 or len(pb) == 1:
-        g, qa, qb = (1,), pa, pb
-    else:
-        g, qa, qb = _heuristic_gcd(pa, pb) or _euclid_gcd(pa, pb)
-    if ca != 1:
-        qa = tuple(x * ca for x in qa)
-    if cb != 1:
-        qb = tuple(x * cb for x in qb)
-    return g, qa, qb
-
-
-def _zsplit(a):
-    """(primitive part with positive lead, signed integer content)."""
-    cont = gcd(*a)
-    if a[-1] < 0:
-        cont = -cont
-    return (a, 1) if cont == 1 else (tuple(x // cont for x in a), cont)
-
-
-def _heuristic_gcd(a, b):
-    """GCDHEU (Char, Geddes and Gonnet 1989, J. Symbolic Comput. 7) on two
-    primitive nonconstant integer polynomials: (g, a/g, b/g), or None.
-
-    Take an integer xi >= 2 min(|a|, |b|) + 2 (max norms) and write
-    gamma = gcd(a(xi), b(xi)) in symmetric xi-adic digits, the coefficients
-    of h with h(xi) = gamma.  If the primitive part H of h divides a and b,
-    it is their gcd G: G = H*Q, and G(xi) | gamma = c*H(xi) gives
-    Q(xi) | c, where the content c of h is at most xi/2.  Every root of Q is
-    a root of a and of b, so smaller than 1 + min(|a|, |b|) <= xi/2 in
-    modulus, and |Q(xi)| > (xi/2)^deg Q; so Q is constant.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEURISTIC_TRIES):
-        gamma = gcd(_zeval(a, xi), _zeval(b, xi))
-        digits = []
-        while gamma:
-            d = gamma % xi
-            if d > xi // 2:
-                d -= xi
-            digits.append(d)
-            gamma = (gamma - d) // xi
-        if len(digits) == 1:
-            return (1,), a, b
-        if digits:
-            g = _zsplit(digits)[0]
-            qa = zquo(a, g)
-            if qa is not None:
-                qb = zquo(b, g)
-                if qb is not None:
-                    return g, qa, qb
-        xi = xi * 73794 // 27011  # the next point, about 2.73 times larger
-    return None
-
-
-def _zeval(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _euclid_gcd(a, b):
-    """The proven path: Euclid's algorithm over Q, then exact cofactors."""
-    p, q = tuple(map(Fraction, a)), tuple(map(Fraction, b))
-    while q:
-        p, q = q, pdivmod(p, q)[1]
-    g = zprimitive(p)[0]
-    return g, zquo(a, g), zquo(b, g)
-
-
-def _zlcm(polys):
-    """Primitive least common multiple over Z[k] of nonzero polynomials
-    over Q; the lcm of no polynomials is 1."""
-    out = (1,)
-    for p in polys:
-        if len(p) > 1:
-            out = zmul(out, zgcd(out, zprimitive(p)[0])[2])
-    return out
-
-
-def integer_row(row: dict):
-    """Clear the denominators of a row of nonzero RatFunc values.
-
-    Returns (den, out): den is the monic lcm of the denominators over Q,
-    and out maps each column to s*den*row[col] as an integer polynomial,
-    for one positive rational s common to the row.
-    """
-    dens = [v.den for v in row.values() if len(v.den) > 1]
-    if not dens:
-        den, polys = PONE, {c: v.num for c, v in row.items()}
-    else:
-        big = _zlcm(dens)
-        den = pmonic(tuple(map(Fraction, big)))
-        polys = {}
-        for c, v in row.items():
-            d = zprimitive(v.den)[0]
-            polys[c] = pmul(v.num, tuple(x * d[-1] for x in zquo(big, d)))
-    scale = lcm(*(x.denominator for v in polys.values() for x in v))
-    return den, {c: tuple(x.numerator * (scale // x.denominator) for x in v)
-                 for c, v in polys.items()}
-
-
-def _cancel(num: Poly, den: Poly):
-    """num/den over Q with their gcd divided out and den made monic; both
-    have positive degree."""
-    a, sa = zprimitive(num)
-    b, sb = zprimitive(den)
-    g, a, b = zgcd(a, b)
-    if len(g) == 1:
-        return num, den
-    lead = b[-1]
-    scale = sa / (sb * lead)
-    return tuple(x * scale for x in a), tuple(Fraction(x, lead) for x in b)
-
-
-def _add_over_z(x, y):
-    """x + y for RatFuncs with nonzero numerators and different denominators,
-    over Z[k]: with g the gcd of the denominators, the sum is
-    (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), then reduced."""
-    n1, s1 = zprimitive(x.num)
-    d1, t1 = zprimitive(x.den)
-    n2, s2 = zprimitive(y.num)
-    d2, t2 = zprimitive(y.den)
-    r1, r2 = s1 / t1, s2 / t2
-    b1, b2 = r1.denominator, r2.denominator
-    _, d1g, d2g = zgcd(d1, d2)
-    num = zcombine((r1.numerator * b2,), zmul(n1, d2g),
-                   (-r2.numerator * b1,), zmul(n2, d1g))
-    if not num:
-        return RF_ZERO
-    _, num, den = zgcd(num, zmul(d1, d2g))
-    lead = den[-1]
-    scale = b1 * b2 * lead
-    return RatFunc(tuple(Fraction(c, scale) for c in num),
-                   tuple(Fraction(c, lead) for c in den), _reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +731,7 @@ class _PolyParser:
                 acc = padd(acc, self.term())
             elif (kind, val) == ("op", "-"):
                 self.take()
-                acc = psub(acc, self.term())
+                acc = padd(acc, pneg(self.term()))
             else:
                 return acc
 
@@ -800,7 +755,7 @@ class _PolyParser:
                     raise CoefficientError("polynomial division only by numbers")
                 if not val2:
                     raise ZeroDenominator("polynomial division by zero")
-                acc = pscale(acc, Fraction(1, 1) / val2)
+                acc = tuple(c / val2 for c in acc)
             else:
                 return acc
 

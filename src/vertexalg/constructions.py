@@ -665,56 +665,3 @@ def osp_coset_virasoro(P: VAPresentation) -> Element:
         + P.derivative(H) * ((RF_ONE + k) * d2)
     )
 
-
-NAMED_FAMILIES = (
-    "S_orbifold_w",
-    "F_orbifold_j",
-    "A_orbifold_w",
-    "H_orbifold_j",
-    "AS_mixed",
-    "parafermion_sl3",
-    "n2_generators",
-)
-
-
-def named_generators(family: str, **params):
-    """Dispatch for the named generator families; see NAMED_FAMILIES."""
-    if family == "S_orbifold_w":
-        r = params.get("r", 1)
-        S = params.get("presentation") or beta_gamma(r)
-        ks = params.get("ks", range(r * r + 2 * r))
-        return S, [s_orbifold_w(S, r, k) for k in ks]
-    if family == "F_orbifold_j":
-        n = params.get("n", 1)
-        F = params.get("presentation") or free_fermion(n)
-        ks = params.get("ks", range(n))
-        return F, [f_orbifold_j(F, n, k) for k in ks]
-    if family == "A_orbifold_w":
-        s = params.get("s", 1)
-        A = params.get("presentation") or symplectic_fermion(s)
-        ks = params.get("ks", range(s))
-        return A, [a_orbifold_w(A, s, k) for k in ks]
-    if family == "H_orbifold_j":
-        m = params.get("m", 1)
-        H = params.get("presentation") or heisenberg(m)
-        ks = params.get("ks", range((m * m + 3 * m) // 2))
-        return H, [h_orbifold_j(H, m, k) for k in ks]
-    if family == "AS_mixed":
-        n = params.get("n", 1)
-        AS = params.get("presentation") or symplectic_fermion(n).tensor(beta_gamma(n))
-        gens = as_mixed_generators(AS, n)
-        return AS, gens["j"] + gens["w"] + gens["mu"]
-    if family == "parafermion_sl3":
-        H6 = params.get("presentation") or heisenberg_pairs(3)
-        fns = parafermion_sl3_generators(H6)
-        out = [fns["q"](p, 0, i) for p in range(3) for i in range(4)]
-        out += [fns["c"](0, j, k) for j in range(3) for k in range(3)]
-        out += [fns["cbar"](0, j, k) for j in range(3) for k in range(3)]
-        return H6, out
-    if family == "n2_generators":
-        P = params.get("presentation") or affine(
-            builtin_lie("sl2"), RatFunc.param()
-        ).tensor(bc_system(1))
-        gens = n2_coset_generators(P)
-        return P, [gens["F"], gens["L"], gens["Gp"], gens["Gm"]]
-    raise ConstructionError(f"unknown named family {family!r}")

@@ -468,10 +468,12 @@ class VAPresentation:
         gens = [
             Generator(g.index, g.name, g.parity, g.weight) for g in self.generators
         ]
+        names = {g.name for g in gens}
         for g in other.generators:
             new_name = g.name
-            if new_name in {x.name for x in gens}:
-                new_name = new_name + "'"
+            while new_name in names:
+                new_name += "'"
+            names.add(new_name)
             gens.append(Generator(offset + g.index, new_name, g.parity, g.weight))
         table = {k: v for k, v in self.table.items()}
         for (i, j), cs in other.table.items():

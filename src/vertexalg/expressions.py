@@ -8,6 +8,9 @@ Grammar (whitespace-insensitive):
              | ":" factor factor+ ":" | "(" element ")"
     coeff   := rational function in parentheses, "(p)" or "(p)/(q)"
 
+A NAME is a letter or "_" followed by letters, digits, "_" and primes "'";
+a tensor product primes the names of its right factor that clash.
+
 ":a b c:" parses right-nested as :a (:b c:):.  Printing emits canonical
 sorted monomials in deterministic order and round-trips through the parser.
 A derivative order is at most MAX_DERIVATIVE_ORDER (the cost of D^n on a
@@ -42,7 +45,7 @@ class ExprError(VAError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<sym>[:()+\-*/^]))"
 )
 

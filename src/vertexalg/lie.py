@@ -288,10 +288,6 @@ def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _mat_trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
 def _unit(n, i, j):
     m = [[Fraction(0)] * n for _ in range(n)]
     m[i][j] = Fraction(1)
@@ -335,10 +331,12 @@ def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
             if comp:
                 brackets[(i, j)] = comp
                 brackets[(j, i)] = {m: -c for m, c in comp.items()}
-    form = [
-        [form_scale * _mat_trace(_mat_mul(matrices[i], matrices[j])) for j in range(dim)]
-        for i in range(dim)
-    ]
+    # B(x_i, x_j) = scale * sum_{r,s} x_i[r][s] x_j[s][r] is symmetric
+    form = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            b = sum((matrices[i][r][s] * matrices[j][s][r] for r, s in cells), Fraction(0))
+            form[i][j] = form[j][i] = form_scale * b
     return LiePresentation(names, [EVEN] * dim, brackets, form, name=name)
 
 

@@ -68,14 +68,14 @@ from .coefficients import (
     format_ratfunc,
     integer_row,
     pdeg,
-    plcm,
     pmonic,
+    pmul,
     pprimitive,
     qsolve,
     rational_roots,
     zcombine,
     zgcd,
-    zmul,
+    zlcm,
     zprimitive,
     zquo,
 )
@@ -299,8 +299,8 @@ class PolySystem:
                 # x[col] = -total / (den * row[col]) = -t / (den * p)
                 _, p, t = zgcd(row[col], total)
                 if p != (1,):
-                    num = [zmul(p, x) for x in num]
-                    den = zmul(p, den)
+                    num = [pmul(p, x) for x in num]
+                    den = pmul(p, den)
                 num[col] = tuple(-x for x in t)
         den = tuple(map(Fraction, den))
         return [RatFunc(tuple(map(Fraction, x)), den) if x else RF_ZERO for x in num]
@@ -807,7 +807,7 @@ def _relation(P: VAPresentation, target: Element, words, w):
     if sol is None:
         return Obstruction(w, words_rank, combined_rank)
     # clear denominators into a primitive polynomial multiplier
-    multiplier = RatFunc(pprimitive(plcm(c.den for c in sol if c)), PONE)
+    multiplier = RatFunc(pprimitive(zlcm(c.den for c in sol if c)), PONE)
     scale = multiplier
     combination = P.zero()
     word_coeffs = {}

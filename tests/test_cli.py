@@ -42,6 +42,16 @@ def test_build_algebra_spec():
     assert P.ngen == 2
 
 
+def test_primed_tensor_names_are_accepted_as_input(capsys):
+    args = ["--algebra", "heisenberg:1*heisenberg:1", "--currents", "a1'", "--weight", "1"]
+    assert main(["commutant", *args]) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[1].strip() == "a1"
+    assert main(["commutant", "--algebra", "heisenberg:1*heisenberg:1",
+                 "--currents", "a1", "--weight", "1"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].strip() == "a1'"
+
+
 def test_load_definition(def_file):
     definition = load_definition(def_file)
     P = definition.algebra

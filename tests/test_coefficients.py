@@ -4,6 +4,7 @@ import copy
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,7 +24,6 @@ from vertexalg.coefficients import (
     qsolve,
     rational_roots,
     zgcd,
-    zmul,
 )
 
 K = RatFunc.param()
@@ -108,6 +108,34 @@ def test_rational_roots_large_constant_term():
         assert time.perf_counter() - t0 < 1, text
         assert roots == want_roots, text
         assert cofactor == parse_poly(want_cofactor), text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_planted(seed):
+    # products of (b*k - a), a/b not reduced, times a root-free cofactor and
+    # a rational scale; the same polynomial also as an int tuple
+    rng = random.Random(seed)
+    cofactors = [parse_poly("k^2 + 1"), parse_poly("k^2 - 2"), (Fraction(1),)]
+    for _ in range(6):
+        want, p = {}, (Fraction(1),)
+        for _ in range(rng.randint(1, 3)):
+            bound = 10 ** rng.choice((1, 3, 30))
+            a, b = rng.randint(-bound, bound), rng.randint(1, bound)
+            mult = rng.randint(1, 3)
+            want[Fraction(a, b)] = want.get(Fraction(a, b), 0) + mult
+            for _ in range(mult):
+                p = pmul(p, (Fraction(-a), Fraction(b)))
+        cofactor = rng.choice(cofactors)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+        p = tuple(c * scale for c in pmul(p, cofactor))
+        den = lcm(*(c.denominator for c in p))
+        ints = tuple(int(c * den) for c in p)
+        for q in (p, ints):
+            t0 = time.perf_counter()
+            roots, got = rational_roots(q)
+            assert time.perf_counter() - t0 < 1, q
+            assert roots == want, q
+            assert got == cofactor and all(type(c) is Fraction for c in got), q
 
 
 def test_round_trip_printing():
@@ -278,7 +306,7 @@ def test_zgcd_cofactors_and_heuristic_rate():
         a = tuple(-3 * x for x in a)  # a content and a negative sign
         g, qa, qb = zgcd(a, b)
         assert g[-1] > 0 and _monic(g) == euclid_gcd(p, q)
-        assert zmul(g, qa) == a and zmul(g, qb) == b
+        assert pmul(g, qa) == a and pmul(g, qb) == b
         total += 1
         answered += coefficients._heuristic_gcd(*(coefficients.zprimitive(x)[0]
                                                   for x in (p, q))) is not None
@@ -339,6 +367,7 @@ def test_ratfunc_chains_match_reference(seed):
             ref = pmul(n1, den), pmul(d1, num)
         ref = _reference(*ref)
         assert (value.num, value.den) == ref
+        assert all(type(c) is Fraction for c in value.num + value.den)
         if not value or len(value.num) + len(value.den) > 10:
             value, ref = RatFunc.const(1), one
 

@@ -29,7 +29,6 @@ from vertexalg.constructions import (
     limit_element,
     limit_presentation,
     n2_coset_generators,
-    named_generators,
     primary_test,
     s_orbifold_w,
     sigma_embedding,
@@ -377,11 +376,3 @@ def test_n2_l_formula_display():
     )
     assert gens["L"] == L
 
-
-def test_named_generators_dispatch():
-    P, elems = named_generators("S_orbifold_w", r=1, ks=[0, 1])
-    assert len(elems) == 2 and P.weight_of(elems[1]) == 4
-    P, elems = named_generators("AS_mixed", n=1)
-    assert len(elems) == 4
-    with pytest.raises(ConstructionError):
-        named_generators("nonsense")

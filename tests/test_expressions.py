@@ -117,6 +117,22 @@ def test_round_trip_suite_elements():
         assert parse_element(AS, format_element(el)) == el
 
 
+def test_threefold_tensor_names_are_distinct_and_parse_back():
+    from vertexalg.constructions import beta_gamma
+
+    P = beta_gamma(1).tensor(beta_gamma(1)).tensor(beta_gamma(1))
+    names = [g.name for g in P.generators]
+    assert names == ["beta", "gamma", "beta'", "gamma'", "beta''", "gamma''"]
+    gens = [P.gen(name) for name in names]
+    for name, g in zip(names, gens):
+        assert format_element(g) == name
+        assert parse_element(P, name) == g
+    product = gens[-1]
+    for g in reversed(gens[:-1]):
+        product = g.no(product)
+    assert parse_element(P, format_element(product)) == product
+
+
 def test_deterministic_printing():
     P = _n2_presentation()
     gens = n2_coset_generators(P)

@@ -121,28 +121,31 @@ def test_sparse_checks_match_dense_reference():
 def test_matrix_brackets_expand_both_orders(monkeypatch):
     built = []
 
-    def recording(names, matrices, *args, **kwargs):
-        built.append((real(names, matrices, *args, **kwargs), matrices))
+    def recording(names, matrices, **kwargs):
+        built.append((real(names, matrices, **kwargs), matrices, kwargs))
         return built[-1][0]
 
     real = lie_from_matrices
     monkeypatch.setattr("vertexalg.lie.lie_from_matrices", recording)
     for name in builtin_names():
         builtin_lie(name)
-    assert {L.name for L, _ in built} == {
+    assert {L.name for L, _, _ in built} == {
         "sl2", "sl3", "sp2", "sp4", "so2", "so3", "gl1", "gl2", "gl3"}
 
     def mul(a, b):
         return [[sum(a[r][t] * b[t][s] for t in range(len(b))) for s in range(len(b[0]))]
                 for r in range(len(a))]
 
-    for L, mats in built:
+    for L, mats, kwargs in built:
+        scale = kwargs.get("form_scale", 1)
         for i, j in product(range(L.dim), repeat=2):
             ab, ba = mul(mats[i], mats[j]), mul(mats[j], mats[i])
             comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
             expanded = [[sum(c * mats[m][r][s] for m, c in L.bracket(i, j).items())
                          for s in range(len(comm))] for r in range(len(comm))]
             assert expanded == comm, (L.name, L.names[i], L.names[j])
+            trace = sum(ab[r][r] for r in range(len(ab)))
+            assert L.form[i][j] == scale * trace, (L.name, L.names[i], L.names[j])
 
 
 def test_builtin_catalog_validates():

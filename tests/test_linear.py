@@ -328,7 +328,11 @@ def _check_kernel(system, pivots, pivot_rows, kernel):
 def test_kernel_matches_reference(osp_weight4_system):
     system = osp_weight4_system
     _, pivots, pivot_rows = system.eliminate()
-    _check_kernel(system, pivots, pivot_rows, system.kernel(pivot_rows))
+    kernel = system.kernel(pivot_rows)
+    _check_kernel(system, pivots, pivot_rows, kernel)
+    # no int or float reaches a result
+    polys = pivots + [p for vec in kernel for c in vec for p in (c.num, c.den)]
+    assert all(type(x) is Fraction for p in polys for x in p)
 
 
 @pytest.mark.parametrize("seed", range(50))
