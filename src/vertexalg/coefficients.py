@@ -48,8 +48,8 @@ MAX_PARSED_DEGREE = 200
 
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials as tuples (low degree first), with int or
-# Fraction coefficients: one set of helpers serves both types.  The zero
-# polynomial is the empty tuple.  RatFunc keeps Fraction tuples; int tuples
+# Fraction coefficients, one type per polynomial: one set of helpers serves
+# both types.  The zero polynomial is the empty tuple.  RatFunc keeps Fraction tuples; int tuples
 # are Z[k], where every polynomial gcd is taken, on primitive integer parts,
 # and where the fraction-free elimination in linear keeps its rows.
 
@@ -144,13 +144,13 @@ def peval(p: Poly, x):
 
 
 def zprimitive(p):
-    """(z, s) with p = s*z for a nonzero polynomial p over Q (Fraction or int
-    coefficients): z primitive over Z with a positive leading coefficient,
-    s a Fraction, an integer when p is over Z."""
-    den = lcm(*[c.denominator for c in p])
-    if den == 1:
-        ints = [c.numerator for c in p]
+    """(z, s) with p = s*z for a nonzero polynomial p over Q (int or
+    Fraction coefficients): z primitive over Z with a positive leading
+    coefficient, s a Fraction, an integer when p is over Z."""
+    if type(p[-1]) is int:  # over Z; a Fraction among ints makes gcd raise
+        ints, den = p, 1
     else:
+        den = lcm(*[c.denominator for c in p])
         ints = [c.numerator * (den // c.denominator) for c in p]
     cont = gcd(*ints)
     if ints[-1] < 0:
