@@ -47,11 +47,11 @@ MAX_PARSED_DEGREE = 200
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials as tuples (low degree first), with int or
-# Fraction coefficients, one type per polynomial: one set of helpers serves
-# both types.  The zero polynomial is the empty tuple.  RatFunc keeps Fraction tuples; int tuples
-# are Z[k], where every polynomial gcd is taken, on primitive integer parts,
-# and where the fraction-free elimination in linear keeps its rows.
+# Dense univariate polynomials as tuples (low degree first) with int or
+# Fraction coefficients, one type per polynomial; one set of helpers serves
+# both.  The zero polynomial is the empty tuple.  RatFunc keeps Fraction
+# tuples; int tuples are Z[k], where every polynomial gcd is taken and where
+# the fraction-free elimination in linear keeps its rows.
 
 Poly = tuple
 
@@ -252,8 +252,62 @@ def _rational_real_roots(p):
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over Z: the gcd and exact quotients of int tuples, on which the
-# helpers above rest for both coefficient types.
+# Sparse linear systems over Q: the package's one Gaussian elimination over
+# Q.  It shares no code with the elimination over Z[k] in linear, whose rank
+# it checks at chosen levels.
+
+
+def qsolve(rows, ncols):
+    """Rank of sparse rows over Q, and a solution for each right-hand side.
+
+    rows are dicts col -> Fraction, left unchanged.  Columns below ncols are
+    the unknowns and every other column is a right-hand side.  Returns
+    (rank, solutions): solutions maps each right-hand side that occurs in a
+    row (one that occurs in none is zero) to a solution, ncols Fractions
+    that are zero at the free unknowns, or to None if its system is
+    inconsistent.  Each column's pivot is the first remaining row with an
+    entry there; without right-hand sides only this forward elimination runs.
+    """
+    active = [{c: v for c, v in row.items() if v} for row in rows]
+    active = [row for row in active if row]
+    pivots = []
+    for col in range(ncols):
+        i = next((i for i, row in enumerate(active) if col in row), None)
+        if i is None:
+            continue
+        prow = active.pop(i)
+        pivots.append((col, prow))
+        pval = prow[col]
+        for row in active:
+            if col in row:
+                f = row[col] / pval
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+    # the rows left are zero on the unknowns, so each right-hand side in them
+    # is inconsistent; every other one that occurs in the input occurs in a
+    # pivot row, as row operations are invertible
+    solutions = dict.fromkeys(c for row in active for c in row)
+    rhs = sorted({c for _, prow in pivots for c in prow if c >= ncols} - set(solutions))
+    if rhs:
+        # back-substitution, bottom pivot first, on each pivot row's unknowns
+        steps = [(col, prow, [(c, v) for c, v in prow.items() if col < c < ncols])
+                 for col, prow in reversed(pivots)]
+        for b in rhs:
+            x = [Fraction(0)] * ncols
+            for col, prow, tail in steps:
+                x[col] = (prow.get(b, 0) - sum(v * x[c] for c, v in tail)) / prow[col]
+            solutions[b] = x
+    return len(pivots), solutions
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Z: gcd, exact quotients and combinations of int tuples.
+# The polynomial helpers above serve them too, as one set for both
+# coefficient types.
 
 # GCDHEU evaluation points tried before the Euclid fallback
 _HEURISTIC_TRIES = 6
@@ -414,59 +468,6 @@ def _add_over_z(x, y):
     scale = b1 * b2 * lead
     return RatFunc(tuple(Fraction(c, scale) for c in num),
                    tuple(Fraction(c, lead) for c in den), _reduced=True)
-
-
-# ---------------------------------------------------------------------------
-# Sparse linear systems over Q: the package's one Gaussian elimination over
-# Q.  It shares no code with the elimination over Z[k] in linear, whose rank
-# it checks at chosen levels.
-
-
-def qsolve(rows, ncols):
-    """Rank of sparse rows over Q, and a solution for each right-hand side.
-
-    rows are dicts col -> Fraction, left unchanged.  Columns below ncols are
-    the unknowns and every other column is a right-hand side.  Returns
-    (rank, solutions): solutions maps each right-hand side that occurs in a
-    row (one that occurs in none is zero) to a solution, ncols Fractions
-    that are zero at the free unknowns, or to None if its system is
-    inconsistent.  Each column's pivot is the first remaining row with an
-    entry there; without right-hand sides only this forward elimination runs.
-    """
-    active = [{c: v for c, v in row.items() if v} for row in rows]
-    active = [row for row in active if row]
-    pivots = []
-    for col in range(ncols):
-        i = next((i for i, row in enumerate(active) if col in row), None)
-        if i is None:
-            continue
-        prow = active.pop(i)
-        pivots.append((col, prow))
-        pval = prow[col]
-        for row in active:
-            if col in row:
-                f = row[col] / pval
-                for c, v in prow.items():
-                    nv = row.get(c, 0) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
-    # the rows left are zero on the unknowns, so each right-hand side in them
-    # is inconsistent; every other one that occurs in the input occurs in a
-    # pivot row, as row operations are invertible
-    solutions = dict.fromkeys(c for row in active for c in row)
-    rhs = sorted({c for _, prow in pivots for c in prow if c >= ncols} - set(solutions))
-    if rhs:
-        # back-substitution, bottom pivot first, on each pivot row's unknowns
-        steps = [(col, prow, [(c, v) for c, v in prow.items() if col < c < ncols])
-                 for col, prow in reversed(pivots)]
-        for b in rhs:
-            x = [Fraction(0)] * ncols
-            for col, prow, tail in steps:
-                x[col] = (prow.get(b, 0) - sum(v * x[c] for c, v in tail)) / prow[col]
-            solutions[b] = x
-    return len(pivots), solutions
 
 
 # ---------------------------------------------------------------------------
