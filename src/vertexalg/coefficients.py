@@ -304,6 +304,79 @@ def qsolve(rows, ncols):
     return len(pivots), solutions
 
 
+# the prime of rank_mod_p: 2^61 - 1, a Mersenne prime
+RANK_PRIME = 2**61 - 1
+
+
+def rank_mod_p(rows, ncols, k0):
+    """Rank over F_p, p = RANK_PRIME, of sparse rows of RatFuncs at k = k0.
+
+    rows are dicts col -> RatFunc, left unchanged; only the columns below
+    ncols count.  Each entry is evaluated at k0 in F_p.  Returns None when
+    k0, a coefficient's denominator or an entry's denominator at k0 is not
+    invertible mod p.  Otherwise every entry at k0 is p-integral, and a
+    minor that is nonzero mod p is nonzero over Q, so the result is at most
+    the rank over Q of the rows at k0.  Like qsolve it shares no code with
+    the elimination over Z[k]; each column's pivot is the first remaining
+    row with an entry there.
+    """
+    p = RANK_PRIME
+    inverses = {1: 1}
+
+    def inverse(d):
+        inv = inverses.get(d)
+        if inv is None:
+            inv = inverses[d] = pow(d, -1, p) if d % p else 0
+        return inv
+
+    def value(poly, x):
+        """poly at x in F_p, or None if a coefficient is not p-integral."""
+        acc = 0
+        for c in reversed(poly):
+            inv = inverse(c.denominator)
+            if not inv:
+                return None
+            acc = (acc * x + c.numerator * inv) % p
+        return acc
+
+    k0 = Fraction(k0)
+    x = inverse(k0.denominator)
+    if not x:
+        return None
+    x = k0.numerator * x % p
+    active = []
+    for row in rows:
+        out = {}
+        for col, v in row.items():
+            if col >= ncols:
+                continue
+            num, den = value(v.num, x), value(v.den, x)
+            if num is None or not den:
+                return None
+            if num:
+                out[col] = num * inverse(den) % p
+        if out:
+            active.append(out)
+    rank = 0
+    for col in range(ncols):
+        i = next((i for i, row in enumerate(active) if col in row), None)
+        if i is None:
+            continue
+        prow = active.pop(i)
+        rank += 1
+        pinv = pow(prow[col], -1, p)
+        for row in active:
+            if col in row:
+                f = row[col] * pinv % p
+                for c, v in prow.items():
+                    nv = (row.get(c, 0) - f * v) % p
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over Z: gcd, exact quotients and combinations of int tuples.
 # The polynomial helpers above serve them too, as one set for both

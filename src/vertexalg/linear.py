@@ -3,16 +3,16 @@
 Weight-graded basis enumeration, torus-charge filtering, commutant solves,
 relation finding, and decoupling analysis.
 
-One fraction-free elimination, PolySystem.eliminate (after Bareiss 1968,
-Math. Comp. 22), serves every parametric solve over Q(k): the commutant
-kernel, and through solve() the relation, pin and span solves, where the
-right-hand side is one extra column.  Rows have their denominators cleared
-and live in Z[k] as primitive rows of integer tuples: every new row is
-divided by the gcd of its entries, taken in Z[k] by coefficients.zgcd, and
-by its integer content.  In each column the pivot is the entry of lowest
-degree, ties going to the sparsest row (Markowitz 1957, Management
-Science 3) and then to the first one.  Elimination works on a copy, so the
-input rows stay as built.  The pivot polynomials are reported over Q.  The
+One fraction-free elimination, PolySystem.eliminate, serves every
+parametric solve over Q(k): the commutant kernel, and through solve() the
+relation, pin and span solves, where the right-hand side is one extra
+column.  Rows have their denominators cleared and live in Z[k] as
+primitive rows of integer tuples: every new row is divided by the gcd of
+its entries, taken in Z[k] by coefficients.zgcd, and by its integer
+content, not by the previous pivot.  In each column the pivot is the entry
+of lowest degree, ties going to the sparsest row (Markowitz 1957,
+Management Science 3) and then to the first one.  Elimination works on a
+copy, so the input rows stay as built.  The pivot polynomials are reported over Q.  The
 kernel is back-substituted over Z[k] too, with one denominator per kernel
 vector, and its coordinates come back as RatFuncs.
 
@@ -21,10 +21,18 @@ stripped from rows and of the cleared denominators, every elimination step
 stays valid at k = k0, so the rank can drop only at those roots.  A kernel
 coordinate's denominator divides a product of pivot entries, so it adds no
 candidate.
-SolveReport.rank_at decides each candidate with coefficients.qsolve, the
-one elimination over Q, on the rows evaluated at k = k0.  qsolve shares no
-code with PolySystem.eliminate or the Z[k] helpers, so its rank is an
-independent certificate.
+SolveReport.rank_at decides each candidate.  It first takes
+coefficients.rank_mod_p, the rank of the rows evaluated at k = k0 in F_p
+for the prime p = 2^61 - 1.  The evaluated entries are p-integral, so
+
+    rank mod p <= rank over Q at k0 <= generic rank,
+
+and a rank mod p that reaches the generic rank proves k0 generic, with no
+probabilistic step.  Otherwise, or when an entry at k0 is not p-integral,
+coefficients.qsolve, the one elimination over Q, takes the rank of the
+evaluated rows: every certified drop and every pole comes from it.
+Neither routine shares code with PolySystem.eliminate or the Z[k] helpers,
+so both ranks are independent certificates.
 
 Commutant conditions accept "actions": either a weight-one current (all its
 nonnegative modes must kill the element) or a pair (current, derivation)
@@ -72,6 +80,7 @@ from .coefficients import (
     pmul,
     pprimitive,
     qsolve,
+    rank_mod_p,
     rational_roots,
     zcombine,
     zgcd,
@@ -417,10 +426,23 @@ class SolveReport:
         return out
 
     def rank_at(self, k0) -> int:
+        """Rank of the original rows at k = k0.
+
+        rank mod p <= rank over Q at k0 <= generic rank, so a rank mod p
+        that reaches the generic rank proves k0 generic.  Otherwise, and
+        when rank_mod_p cannot evaluate the rows, qsolve decides over Q;
+        every drop and every pole comes from it.
+        """
         k0 = exact_scalar(k0)
-        rows = [{col: v.evaluate(k0) for col, v in row.items()}
-                for row in self.system.original_rows]
-        return qsolve(rows, self.system.ncols)[0]
+        rows, ncols = self.system.original_rows, self.system.ncols
+        rank = rank_mod_p(rows, ncols, k0)
+        if rank == self.generic_rank:
+            return rank
+        if rank is not None and rank > self.generic_rank:
+            raise LinearError(f"rank {rank} mod p at k = {k0} exceeds the "
+                              f"generic rank {self.generic_rank}")
+        rows = [{col: v.evaluate(k0) for col, v in row.items()} for row in rows]
+        return qsolve(rows, ncols)[0]
 
     def kernel_dim_at(self, k0) -> int:
         return self.system.ncols - self.rank_at(k0)
@@ -570,7 +592,9 @@ def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
 def verify_commutant(P: VAPresentation, v: Element, actions) -> bool:
     """Re-check the commutant conditions directly on an assembled element:
     the zero-mode conditions of verify_invariant, and every mode n >= 1 of
-    each current kills v."""
+    each current kills v.  Like verify_invariant it works on v times the
+    lcm of its coefficient denominators."""
+    v = _denominators_cleared(v)
     if not verify_invariant(P, v, actions):
         return False
     if v.is_zero():
@@ -591,13 +615,24 @@ def verify_invariant(P: VAPresentation, v: Element, actions) -> bool:
     also requires the higher current modes to act by zero (the coset
     condition); for free-field orbifolds only the zero modes implement the
     group action.
+
+    The modes act on v * D, D the lcm of v's coefficient denominators: D is
+    a nonzero element of Q(k), so v * D is killed exactly when v is, and
+    its polynomial coefficients add without a gcd.
     """
+    v = _denominators_cleared(v)
     if v.is_zero():
         return True
     for current, derivation in _normalize_actions(actions):
         if not _action_image(P, current, derivation, v, 0).is_zero():
             return False
     return True
+
+
+def _denominators_cleared(v: Element) -> Element:
+    """v times the lcm over Z[k] of its coefficient denominators."""
+    den = zlcm(c.den for c in v.data.values())
+    return v if den == (1,) else v * RatFunc(tuple(map(Fraction, den)))
 
 
 def _action_image(P, current, derivation, v, n):

@@ -22,6 +22,7 @@ from vertexalg.coefficients import (
     pmul,
     pneg,
     qsolve,
+    rank_mod_p,
     rational_roots,
     zgcd,
 )
@@ -442,3 +443,21 @@ def test_qsolve_planted_systems(seed):
                    for row in rows)
         assert all(x[c] == 0 for c in range(ncols) if c not in pivots)
     assert set(solutions) <= set(rhs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rank_mod_p_planted_systems(seed):
+    # each row times a RatFunc that is a nonzero constant at k0, plus
+    # entries in a right-hand-side column, which do not count
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 7)
+    rows, _ = _sparse_rows(rng, rng.randint(1, 9), ncols)
+    scaled = []
+    for row in rows:
+        g = (K + RatFunc.const(rng.randint(1, 9))) / (K - RatFunc.const(rng.randint(1, 9)))
+        out = {c: g * RatFunc.const(v) for c, v in row.items()}
+        out[ncols] = K
+        scaled.append(out)
+    before = copy.deepcopy(scaled)
+    assert rank_mod_p(scaled, ncols, Fraction(1, 2)) == _dense_rank(rows, ncols)
+    assert scaled == before

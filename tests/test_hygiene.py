@@ -5,8 +5,9 @@ somewhere in the package outside its own body, and every import must be used
 in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
 that another module defines.  No private function only forwards to a method.
-The Fock oracle shares no product logic with the engine it checks, and
-verify_commutant none of the mode selection of the rows it re-checks.
+The Fock oracle shares no product logic with the engine it checks,
+verify_commutant none of the mode selection of the rows it re-checks, and
+the rank mod p none of the elimination over Z[k] whose rank it certifies.
 """
 
 import ast
@@ -176,3 +177,28 @@ def test_verify_commutant_stays_independent_of_the_mode_selection():
             todo += [n for n in _referenced_names(functions[name]) if n in functions]
     assert {"verify_invariant", "_action_image", "apply_derivation"} <= reached
     assert not reached & selection, sorted(reached & selection)
+
+
+def test_rank_mod_p_stays_independent_of_the_elimination_over_zk():
+    # rank_at takes a rank mod p that reaches the generic rank as proof that
+    # a level is generic, so, like qsolve, nothing coefficients.rank_mod_p
+    # reaches may touch PolySystem or the Z[k] helpers of the elimination
+    tree = _trees()["coefficients.py"]
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    functions = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            functions.setdefault(node.name, []).append(node)
+    forbidden = {"PolySystem", "integer_row", "zgcd", "zquo", "zcombine", "zprimitive"}
+    assert forbidden - {"PolySystem"} <= set(functions)
+    reached, named, todo = set(), set(), ["rank_mod_p"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for fn in functions[name]:
+                names = _referenced_names(fn)
+                named.update(names)
+                todo += [n for n in names if n in functions]
+    assert not named & forbidden, sorted(named & forbidden)

@@ -7,13 +7,18 @@ from math import ceil
 
 import pytest
 
+from vertexalg import linear
 from vertexalg.coefficients import (
+    RANK_PRIME,
     RF_ONE,
     RF_ZERO,
+    EvaluationAtPole,
     RatFunc,
     pdivmod,
     pmul,
     pprimitive,
+    qsolve,
+    rank_mod_p,
     rational_roots,
 )
 from vertexalg.constructions import (
@@ -373,7 +378,32 @@ def test_certified_nongeneric_levels(lie, currents, weight, certified):
     # levels, but never the certified ones
     P = affine(builtin_lie(lie), K)
     report = commutant_basis(P, [P.gen(name) for name in currents], weight)
-    assert nongeneric_levels(report).certified == certified
+    ng = nongeneric_levels(report)
+    assert ng.certified == certified
+    assert (ng.certified, ng.candidates) == _qsolve_levels(report)
+
+
+def _qsolve_levels(report):
+    """The certified levels and candidates of nongeneric_levels, from qsolve
+    alone: every rational root of a pivot or a stripped factor that is not
+    a pole, decided by the rank over Q of the rows evaluated there."""
+    system = report.system
+
+    def roots(polys):
+        return set().union(*(rational_roots(p)[0] for p in polys if len(p) > 1))
+
+    levels = (roots(report.pivot_polys + list(system.stripped_factors))
+              - roots(system.cleared_factors))
+    certified, candidates = {}, set()
+    for k0 in levels:
+        rows = [{c: v.evaluate(k0) for c, v in row.items()}
+                for row in system.original_rows]
+        dim = system.ncols - qsolve(rows, system.ncols)[0]
+        if dim != report.kernel_dim:
+            certified[k0] = (report.kernel_dim, dim)
+        else:
+            candidates.add(k0)
+    return certified, candidates
 
 
 def _report(rows, ncols):
@@ -394,6 +424,59 @@ def test_stripped_factors_are_certified(rows, ncols, certified):
     report = _report(rows, ncols)
     assert report.system.stripped_factors == {(0, 1)}
     assert nongeneric_levels(report).certified == certified
+
+
+def _rank_at(monkeypatch, report, k0):
+    """report.rank_at(k0), and whether it called qsolve."""
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(k0)
+        return qsolve(rows, ncols)
+
+    monkeypatch.setattr(linear, "qsolve", counted)
+    return report.rank_at(k0), bool(calls)
+
+
+P61 = RatFunc.const(RANK_PRIME)
+
+
+@pytest.mark.parametrize("rows, k0, mod_p", [
+    # an entry equal to p: the rows are proportional mod p but not over Q
+    ([{0: K, 1: P61}, {0: RF_ONE}], 3, 1),
+    # an entry whose denominator k - p vanishes mod p at k = 0, but not over Q
+    ([{0: RF_ONE / (K - P61)}, {1: RF_ONE}], 0, None),
+    # a coefficient 1/p
+    ([{0: K / P61}, {1: RF_ONE}], 1, None),
+    # a level whose denominator is p
+    ([{0: K + RF_ONE}, {1: RF_ONE}], Fraction(1, RANK_PRIME), None),
+])
+def test_rank_at_falls_back_to_qsolve(monkeypatch, rows, k0, mod_p):
+    report = _report(rows, 2)
+    assert report.generic_rank == 2
+    assert rank_mod_p(report.system.original_rows, 2, k0) == mod_p
+    assert _rank_at(monkeypatch, report, k0) == (2, True)
+
+
+def test_rank_at_generic_level_skips_qsolve(monkeypatch, osp_weight4_system):
+    report = _solve(osp_weight4_system, None, 4, None)
+    assert _rank_at(monkeypatch, report, Fraction(345678, 543)) == (report.generic_rank, False)
+
+
+def test_rank_at_pole_still_raises():
+    # 1/(k + 1) at k = -1 cannot be evaluated mod p either; qsolve raises
+    report = _report([{0: RF_ONE / (K + RF_ONE)}, {1: RF_ONE}], 2)
+    assert rank_mod_p(report.system.original_rows, 2, -1) is None
+    with pytest.raises(EvaluationAtPole):
+        report.rank_at(-1)
+
+
+def test_rank_at_above_generic_rank_is_a_contradiction():
+    report = _report([{0: RF_ONE, 1: K}, {1: RF_ONE}], 2)
+    assert report.rank_at(5) == 2
+    report.generic_rank = 1
+    with pytest.raises(LinearError, match="exceeds the generic rank"):
+        report.rank_at(5)
 
 
 def _det(m):
@@ -628,6 +711,27 @@ def test_invariance_vs_commutant():
     assert not verify_commutant(S1, w1, tau.images)
 
 
+def test_verify_commutant_on_the_cleared_element():
+    # the weight-6 deformation of the osp(1|2)/sp2 coset, pinned as the
+    # osp-coset suite pins it, has poles at -2, -3/2, -4 and -8/3; both
+    # checks clear its denominators first, so a multiple by a nonconstant
+    # RatFunc passes and a changed coefficient fails
+    P = affine(builtin_lie("osp(1|2)"), K)
+    currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
+    basis = charge_filter(weight_basis(P, 6), currents=[P.gen("H")], charges=[0])
+    com = commutant_basis(P, currents, 6, basis=basis)
+    target = pin_commutant_element(com, odd_pair_shape(P, "phip", "phim", 2))
+    assert any(len(c.den) > 1 for c in target.data.values())
+    assert verify_commutant(P, target, currents)
+    assert verify_commutant(P, target * ((K + RatFunc.const(3)) / (K - RatFunc.const(5))),
+                            currents)
+    first, last = min(target.data), max(target.data)
+    for M, change in ((first, RF_ONE), (last, RF_ONE / (K + RatFunc.const(7)))):
+        changed = P.element({**target.data, M: target.data[M] + change})
+        assert not verify_invariant(P, changed, currents)
+        assert not verify_commutant(P, changed, currents)
+
+
 # ---------------------------------------------------------------------------
 # Commutant rows from a generating set of the current modes
 
@@ -663,17 +767,16 @@ def _solve(system, P, w, basis):
     return SolveReport(P, w, basis, rank, pivots, system.kernel(pivot_rows), system)
 
 
-@pytest.mark.parametrize("lie, weight, charge0, certified, all_candidates", [
-    ("osp(1|2)", 2, False, {}, True),
-    ("osp(1|2)", 3, False, {}, True),
-    ("osp(1|2)", 4, False, {}, True),
-    ("osp(1|2)", 4, True, {}, True),
-    ("osp(1|2)", 6, True, {}, False),
-    ("sl2", 2, False, {Fraction(-2): (0, 1)}, True),
-    ("sl2", 3, False, {Fraction(-2): (0, 1)}, True),
+@pytest.mark.parametrize("lie, weight, charge0, certified", [
+    ("osp(1|2)", 2, False, {}),
+    ("osp(1|2)", 3, False, {}),
+    ("osp(1|2)", 4, False, {}),
+    ("osp(1|2)", 4, True, {}),
+    ("osp(1|2)", 6, True, {}),
+    ("sl2", 2, False, {Fraction(-2): (0, 1)}),
+    ("sl2", 3, False, {Fraction(-2): (0, 1)}),
 ])
-def test_reduced_system_equals_all_mode_system(lie, weight, charge0, certified,
-                                               all_candidates):
+def test_reduced_system_equals_all_mode_system(lie, weight, charge0, certified):
     # rows from a generating set of the modes have the kernel of the rows
     # from every mode, at the generic level and at every level tried
     P = affine(builtin_lie(lie), K)
@@ -692,10 +795,7 @@ def test_reduced_system_equals_all_mode_system(lie, weight, charge0, certified,
     assert reduced.generic_rank == full.generic_rank
     assert reduced.kernel_vectors == full.kernel_vectors
     assert nongeneric_levels(reduced).certified == certified
-    if all_candidates:
-        # at weight 6 the 25 candidate levels of the full system take about
-        # a minute of exact ranks; the inclusion above stands in for them
-        assert nongeneric_levels(full).certified == certified
+    assert nongeneric_levels(full).certified == certified
     rng = random.Random(weight)
     levels = list(certified) + [Fraction(rng.randint(1, 30), rng.randint(1, 5))
                                 for _ in range(3)]
