@@ -1,10 +1,14 @@
 """Exact arithmetic in Q(t): rational functions in one formal parameter.
 
 The parameter is written abstractly; presentations decide whether it means
-the level k or the square root kappa (with k = kappa^2).  Values are kept
-in canonical form at all times: numerator and denominator coprime, the
-denominator monic, zero represented as 0/1.  Equality is therefore plain
-structural comparison.
+the level k or the square root kappa (with k = kappa^2).  A RatFunc is
+kept over Z[k] as two int tuples, znum and zden, in canonical form at all
+times: coprime in Z[k], integer content included, zden with a positive
+leading coefficient, zero as ()/(1,).  The form is unique, so equality and
+hashing are structural, and the operators work on ints alone.  The num
+and den properties give the same value over Q with a monic denominator,
+the form that printing uses; the constructor RatFunc(num, den) is the one
+place that takes Fraction coefficients.
 
 Parsed polynomials are bounded: an exponent, and the degree of every
 product formed while parsing, is at most MAX_PARSED_DEGREE; over it the
@@ -49,9 +53,10 @@ MAX_PARSED_DEGREE = 200
 # ---------------------------------------------------------------------------
 # Dense univariate polynomials as tuples (low degree first) with int or
 # Fraction coefficients, one type per polynomial; one set of helpers serves
-# both.  The zero polynomial is the empty tuple.  RatFunc keeps Fraction
-# tuples; int tuples are Z[k], where every polynomial gcd is taken and where
-# the fraction-free elimination in linear keeps its rows.
+# both.  The zero polynomial is the empty tuple.  Int tuples are Z[k]:
+# RatFunc keeps its numerator and denominator there, every polynomial gcd
+# is taken there, and so are the rows of the fraction-free elimination in
+# linear.
 
 Poly = tuple
 
@@ -94,6 +99,11 @@ def pmul(p: Poly, q: Poly) -> Poly:
     """p*q; a coefficient that no term reaches is a zero of p's type."""
     if not p or not q:
         return PZERO
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        a = p[0]
+        return tuple([a * b for b in q])
     out = [p[-1] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
@@ -146,7 +156,7 @@ def peval(p: Poly, x):
 def zprimitive(p):
     """(z, s) with p = s*z for a nonzero polynomial p over Q (int or
     Fraction coefficients): z primitive over Z with a positive leading
-    coefficient, s a Fraction, an integer when p is over Z."""
+    coefficient, s an int when p is over Z and a Fraction otherwise."""
     if type(p[-1]) is int:  # over Z; a Fraction among ints makes gcd raise
         ints, den = p, 1
     else:
@@ -155,9 +165,8 @@ def zprimitive(p):
     cont = gcd(*ints)
     if ints[-1] < 0:
         cont = -cont
-    if cont == den == 1:  # already primitive over Z: skip building s
-        return tuple(ints), PONE[0]
-    return tuple([x // cont for x in ints]), Fraction(cont, den)
+    z = tuple(ints) if cont == 1 else tuple([x // cont for x in ints])
+    return z, cont if den == 1 else Fraction(cont, den)
 
 
 def pprimitive(p: Poly) -> Poly:
@@ -312,49 +321,39 @@ def rank_mod_p(rows, ncols, k0):
     """Rank over F_p, p = RANK_PRIME, of sparse rows of RatFuncs at k = k0.
 
     rows are dicts col -> RatFunc, left unchanged; only the columns below
-    ncols count.  Each entry is evaluated at k0 in F_p.  Returns None when
-    k0, a coefficient's denominator or an entry's denominator at k0 is not
-    invertible mod p.  Otherwise every entry at k0 is p-integral, and a
-    minor that is nonzero mod p is nonzero over Q, so the result is at most
-    the rank over Q of the rows at k0.  Like qsolve it shares no code with
-    the elimination over Z[k]; each column's pivot is the first remaining
-    row with an entry there.
+    ncols count.  An entry N/D, N and D over Z, is evaluated at k0 = a/b:
+    when b is a p-unit, N(k0) and D(k0) are p-integral, and when D(k0) is
+    a p-unit too the entry is p-integral, with value N(x)/D(x) in F_p for
+    x = a/b mod p.  Returns None when b or some D(k0) is 0 mod p.
+    Otherwise a minor that is nonzero mod p is nonzero over Q, so the
+    result is at most the rank over Q of the rows at k0.  Like qsolve it
+    shares no code with the elimination over Z[k]; each column's pivot is
+    the first remaining row with an entry there.
     """
     p = RANK_PRIME
-    inverses = {1: 1}
+    k0 = Fraction(k0)
+    if not k0.denominator % p:
+        return None
+    x = k0.numerator * pow(k0.denominator, -1, p) % p
 
-    def inverse(d):
-        inv = inverses.get(d)
-        if inv is None:
-            inv = inverses[d] = pow(d, -1, p) if d % p else 0
-        return inv
-
-    def value(poly, x):
-        """poly at x in F_p, or None if a coefficient is not p-integral."""
+    def value(poly):
         acc = 0
         for c in reversed(poly):
-            inv = inverse(c.denominator)
-            if not inv:
-                return None
-            acc = (acc * x + c.numerator * inv) % p
+            acc = (acc * x + c) % p
         return acc
 
-    k0 = Fraction(k0)
-    x = inverse(k0.denominator)
-    if not x:
-        return None
-    x = k0.numerator * x % p
     active = []
     for row in rows:
         out = {}
         for col, v in row.items():
             if col >= ncols:
                 continue
-            num, den = value(v.num, x), value(v.den, x)
-            if num is None or not den:
+            den = value(v.zden)
+            if not den:
                 return None
+            num = value(v.znum)
             if num:
-                out[col] = num * inverse(den) % p
+                out[col] = num * pow(den, -1, p) % p
         if out:
             active.append(out)
     rank = 0
@@ -433,8 +432,6 @@ def zgcd(a, b):
         g, qa, qb = (1,), pa, pb
     else:
         g, qa, qb = _heuristic_gcd(pa, pb) or _euclid_gcd(pa, pb)
-    # a and b are over Z, so their contents are integers
-    ca, cb = ca.numerator, cb.numerator
     if ca != 1:
         qa = tuple(x * ca for x in qa)
     if cb != 1:
@@ -489,137 +486,189 @@ def _euclid_gcd(a, b):
 def integer_row(row: dict):
     """Clear the denominators of a row of nonzero RatFunc values.
 
-    Returns (den, out): den is the monic lcm of the denominators over Q,
-    and out maps each column to s*den*row[col] as an integer polynomial,
-    for one positive rational s common to the row.
+    Returns (den, out): den is the primitive lcm over Z[k] of the
+    denominators, and out maps each column to s*den*row[col] as an integer
+    polynomial, s the lcm of the denominators' contents.
     """
-    dens = [v.den for v in row.values() if len(v.den) > 1]
-    if not dens:
-        den, polys = PONE, {c: v.num for c, v in row.items()}
-    else:
-        big = zlcm(dens)
-        den = pmonic(tuple(map(Fraction, big)))
-        polys = {}
-        for c, v in row.items():
-            d = zprimitive(v.den)[0]
-            polys[c] = pmul(v.num, tuple(x * d[-1] for x in zquo(big, d)))
-    scale = lcm(*(x.denominator for v in polys.values() for x in v))
-    return den, {c: tuple(x.numerator * (scale // x.denominator) for x in v)
-                 for c, v in polys.items()}
-
-
-def _cancel(num: Poly, den: Poly):
-    """num/den over Q with their gcd divided out and den made monic; both
-    have positive degree."""
-    a, sa = zprimitive(num)
-    b, sb = zprimitive(den)
-    g, a, b = zgcd(a, b)
-    if len(g) == 1:
-        return num, den
-    lead = b[-1]
-    scale = sa / (sb * lead)
-    return tuple(x * scale for x in a), tuple(Fraction(x, lead) for x in b)
-
-
-def _add_over_z(x, y):
-    """x + y for RatFuncs with nonzero numerators and different denominators,
-    over Z[k]: with g the gcd of the denominators, the sum is
-    (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)), then reduced."""
-    n1, s1 = zprimitive(x.num)
-    d1, t1 = zprimitive(x.den)
-    n2, s2 = zprimitive(y.num)
-    d2, t2 = zprimitive(y.den)
-    r1, r2 = s1 / t1, s2 / t2
-    b1, b2 = r1.denominator, r2.denominator
-    _, d1g, d2g = zgcd(d1, d2)
-    num = zcombine((r1.numerator * b2,), pmul(n1, d2g),
-                   (-r2.numerator * b1,), pmul(n2, d1g))
-    if not num:
-        return RF_ZERO
-    _, num, den = zgcd(num, pmul(d1, d2g))
-    lead = den[-1]
-    scale = b1 * b2 * lead
-    return RatFunc(tuple(Fraction(c, scale) for c in num),
-                   tuple(Fraction(c, lead) for c in den), _reduced=True)
+    parts = {}
+    for c, v in row.items():
+        d = v.zden
+        e = gcd(*d)
+        parts[c] = v.znum, e, (d if e == 1 else tuple([x // e for x in d]))
+    den = zlcm(d for _, _, d in parts.values())
+    scale = lcm(*[e for _, e, _ in parts.values()])
+    out = {}
+    for c, (n, e, d) in parts.items():
+        if d != den:
+            n = pmul(n, zquo(den, d))
+        out[c] = n if e == scale else tuple([x * (scale // e) for x in n])
+    return den, out
 
 
 # ---------------------------------------------------------------------------
 # Rational functions
 
 
+def _ratfunc(n, d):
+    """The RatFunc n/d of a pair already in canonical form."""
+    f = object.__new__(RatFunc)
+    f.znum = n
+    f.zden = d
+    return f
+
+
+def _lowest(n, d):
+    """n/d for nonzero integer polynomials with no common factor of positive
+    degree: divided by the gcd of all their coefficients, d[-1] made
+    positive."""
+    g = gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        n = tuple([x // g for x in n])
+        d = tuple([x // g for x in d])
+    return _ratfunc(n, d)
+
+
+def _product(n1, d1, n2, d2):
+    """(n1/d1) * (n2/d2) for canonical pairs."""
+    if not n1 or not n2:
+        return RF_ZERO
+    if len(n2) == 1 == len(d2):
+        n1, d1, n2, d2 = n2, d2, n1, d1
+    if len(d1) == 1 and (len(n1) == 1 or len(d2) == 1):
+        # no factor of positive degree cancels: cancel the contents of n1
+        # against d2's and of n2 against d1's
+        g = gcd(*n1, *d2)
+        if g != 1:
+            n1 = tuple([x // g for x in n1])
+            d2 = tuple([x // g for x in d2])
+        g = gcd(d1[0], *n2)
+        if g != 1:
+            n2 = tuple([x // g for x in n2])
+            d1 = (d1[0] // g,)
+        return _ratfunc(pmul(n1, n2), d2 if d1 == (1,) else pmul(d1, d2))
+    return RatFunc.over_z(pmul(n1, n2), pmul(d1, d2))
+
+
 class RatFunc:
-    """A reduced rational function num/den with monic denominator."""
+    """A rational function znum/zden in canonical form over Z[k]."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("znum", "zden")
 
-    def __init__(self, num, den=PONE, _reduced=False):
+    def __init__(self, num, den=PONE):
+        """num/den for polynomials over Q, tuples of ints or Fractions (low
+        degree first), or exact scalars; trailing zeros are ignored."""
         if isinstance(num, (int, Fraction)):
             num = pconst(num)
         if isinstance(den, (int, Fraction)):
             den = pconst(den)
-        if not den:
+        # num = n/a and den = d/b over Z, so num/den = (b*n)/(a*d)
+        a = lcm(*[c.denominator for c in num])
+        b = lcm(*[c.denominator for c in den])
+        n = pnormalize([c.numerator * (a // c.denominator) * b for c in num])
+        d = pnormalize([c.numerator * (b // c.denominator) * a for c in den])
+        if not d:
             raise ZeroDenominator("zero denominator polynomial")
-        if not _reduced:
-            if not num:
-                den = PONE
-            else:
-                if len(num) > 1 and len(den) > 1:
-                    num, den = _cancel(num, den)
-                lead = den[-1]
-                if lead != 1:
-                    num = tuple(c / lead for c in num)
-                    den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
+        f = RatFunc.over_z(n, d)
+        self.znum = f.znum
+        self.zden = f.zden
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def over_z(n, d) -> "RatFunc":
+        """n/d for integer polynomials without trailing zeros, d nonzero."""
+        if not n:
+            return RF_ZERO
+        if len(n) > 1 and len(d) > 1:
+            _, n, d = zgcd(n, d)
+        return _lowest(n, d)
+
+    @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(pconst(c), PONE, _reduced=True)
+        if type(c) is not int:
+            c = exact_scalar(c)
+            if c.denominator != 1:
+                return _ratfunc((c.numerator,), (c.denominator,))
+            c = c.numerator
+        return _ratfunc((c,), (1,)) if c else RF_ZERO
 
     @staticmethod
     def param() -> "RatFunc":
-        return RatFunc(PVAR, PONE, _reduced=True)
+        return _ratfunc((0, 1), (1,))
+
+    # -- the monic view over Q ---------------------------------------------
+
+    @property
+    def num(self) -> Poly:
+        """The numerator over Q, for the denominator made monic."""
+        lead = self.zden[-1]
+        return tuple([Fraction(x, lead) for x in self.znum])
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator over Q."""
+        lead = self.zden[-1]
+        return tuple([Fraction(x, lead) for x in self.zden])
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.znum
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == PONE
+        return len(self.znum) <= 1 and len(self.zden) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise CoefficientError("not a constant")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.znum[0], self.zden[0]) if self.znum else Fraction(0)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.znum)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = as_ratfunc(other)
-        if self.den == other.den:
-            return RatFunc(padd(self.num, other.num), self.den)
-        if not other.num:
+        if type(other) is not RatFunc:
+            other = as_ratfunc(other)
+        n1, d1 = self.znum, self.zden
+        n2, d2 = other.znum, other.zden
+        if not n2:
             return self
-        if not self.num:
+        if not n1:
             return other
-        if other.den == PONE:
-            self, other = other, self
-        if self.den == PONE:
-            # p + n/d = (p*d + n)/d is reduced when n/d is
-            num = padd(pmul(self.num, other.den), other.num)
-            return RatFunc(num, other.den, _reduced=True)
-        return _add_over_z(self, other)
+        if d1 == d2:
+            n = padd(n1, n2)
+            if not n:
+                return RF_ZERO
+            if len(d1) > 1:
+                return RatFunc.over_z(n, d1)
+            return _ratfunc(n, d1) if d1 == (1,) else _lowest(n, d1)
+        # the denominators differ, so the sum is not zero
+        if len(d2) == 1:
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        if len(d1) == 1:
+            b = d1[0]
+            if len(d2) == 1:
+                # as Fraction adds: only a factor of gcd(b, c) can cancel
+                c = d2[0]
+                g = gcd(b, c)
+                n = zcombine((c // g,), n1, (-b // g,), n2)
+                return _ratfunc(n, (b * c,)) if g == 1 else _lowest(n, (b // g * c,))
+            # n1/b + n2/d2 = (n1*d2 + b*n2)/(b*d2): no factor of d2 divides
+            # the numerator, so only an integer can cancel
+            n = zcombine(n1, d2, (-b,), n2)
+            return _ratfunc(n, d2) if b == 1 else _lowest(n, tuple([b * x for x in d2]))
+        # with g = gcd(d1, d2) the sum is (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g))
+        _, e1, e2 = zgcd(d1, d2)
+        return RatFunc.over_z(zcombine(n1, e2, pneg(n2), e1), pmul(d1, e2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(pneg(self.num), self.den, _reduced=True)
+        return _ratfunc(tuple([-x for x in self.znum]), self.zden)
 
     def __sub__(self, other):
         return self + (-as_ratfunc(other))
@@ -628,58 +677,51 @@ class RatFunc:
         return as_ratfunc(other) + (-self)
 
     def __mul__(self, other):
-        other = as_ratfunc(other)
-        if not self.num or not other.num:
-            return RF_ZERO
-        if other.is_constant():
-            self, other = other, self
-        if self.is_constant():
-            # a nonzero constant factor keeps the form reduced
-            c = self.num[0]
-            return RatFunc(tuple(c * x for x in other.num), other.den, _reduced=True)
-        if self.den == PONE and other.den == PONE:
-            return RatFunc(pmul(self.num, other.num), PONE)
-        return RatFunc(pmul(self.num, other.num), pmul(self.den, other.den))
+        if type(other) is not RatFunc:
+            other = as_ratfunc(other)
+        return _product(self.znum, self.zden, other.znum, other.zden)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_ratfunc(other)
-        if not other.num:
+        if type(other) is not RatFunc:
+            other = as_ratfunc(other)
+        n, d = other.znum, other.zden
+        if not n:
             raise ZeroDenominator("division by zero rational function")
-        return RatFunc(pmul(self.num, other.den), pmul(self.den, other.num))
+        if n[-1] < 0:
+            n, d = pneg(n), pneg(d)
+        return _product(self.znum, self.zden, d, n)
 
     def __rtruediv__(self, other):
         return as_ratfunc(other) / self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
         if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = RatFunc.const(other)
+        return self.znum == other.znum and self.zden == other.zden
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.znum, self.zden))
 
     # -- analysis ----------------------------------------------------------
 
     def evaluate(self, x) -> Fraction:
         x = exact_scalar(x)
-        d = peval(self.den, x)
+        d = peval(self.zden, x)
         if d == 0:
             raise EvaluationAtPole(x)
-        return peval(self.num, x) / d
+        return peval(self.znum, x) / d
 
     def limit_at_infinity(self) -> Fraction:
-        if not self.num:
-            return Fraction(0)
-        dn, dd = pdeg(self.num), pdeg(self.den)
-        if dn > dd:
+        n, d = self.znum, self.zden
+        if len(n) > len(d):
             raise DivergesAtInfinity(str(self))
-        if dn < dd:
+        if len(n) < len(d):
             return Fraction(0)
-        return self.num[-1] / self.den[-1]
+        return Fraction(n[-1], d[-1])
 
     def __str__(self):
         return format_ratfunc(self)
@@ -703,8 +745,8 @@ def as_ratfunc(x) -> RatFunc:
     return RatFunc.const(x)
 
 
-RF_ZERO = RatFunc.const(0)
-RF_ONE = RatFunc.const(1)
+RF_ZERO = _ratfunc((), (1,))
+RF_ONE = _ratfunc((1,), (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +780,7 @@ def format_poly(p: Poly, var: str = "k") -> str:
 
 def format_ratfunc(f: RatFunc, var: str = "k") -> str:
     num = f"({format_poly(f.num, var)})"
-    if f.den == PONE:
+    if len(f.zden) == 1:
         return num
     return f"{num}/({format_poly(f.den, var)})"
 

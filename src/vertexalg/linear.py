@@ -67,7 +67,6 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from .coefficients import (
-    PONE,
     RF_ZERO,
     RatFunc,
     as_ratfunc,
@@ -76,7 +75,6 @@ from .coefficients import (
     format_ratfunc,
     integer_row,
     pdeg,
-    pmonic,
     pmul,
     pprimitive,
     qsolve,
@@ -311,8 +309,7 @@ class PolySystem:
                     num = [pmul(p, x) for x in num]
                     den = pmul(p, den)
                 num[col] = tuple(-x for x in t)
-        den = tuple(map(Fraction, den))
-        return [RatFunc(tuple(map(Fraction, x)), den) if x else RF_ZERO for x in num]
+        return [RatFunc.over_z(x, den) for x in num]
 
 
 def solve(rows, rhs, ncols):
@@ -631,8 +628,8 @@ def verify_invariant(P: VAPresentation, v: Element, actions) -> bool:
 
 def _denominators_cleared(v: Element) -> Element:
     """v times the lcm over Z[k] of its coefficient denominators."""
-    den = zlcm(c.den for c in v.data.values())
-    return v if den == (1,) else v * RatFunc(tuple(map(Fraction, den)))
+    den = zlcm(c.zden for c in v.data.values())
+    return v if den == (1,) else v * RatFunc.over_z(den, (1,))
 
 
 def _action_image(P, current, derivation, v, n):
@@ -721,7 +718,7 @@ def nongeneric_levels(report: SolveReport) -> NongenericReport:
     when the kernel dimension provably changes at that level (by an exact
     rank computation), otherwise listed as a candidate.
     """
-    stripped = [pprimitive(f) for f in sorted(report.system.stripped_factors)]
+    stripped = sorted(report.system.stripped_factors)
     candidates, factors = _distinct_roots(report.pivot_polys + stripped)
     poles, _ = _distinct_roots(report.system.cleared_factors)
     certified = {}
@@ -747,7 +744,7 @@ def _distinct_roots(polys):
     """
     roots = set()
     cofactors = []
-    for p in dict.fromkeys(pmonic(p) for p in polys if pdeg(p) > 0):
+    for p in dict.fromkeys(zprimitive(p)[0] for p in polys if pdeg(p) > 0):
         found, cofactor = rational_roots(p)
         roots.update(found)
         if pdeg(cofactor) > 0 and cofactor not in cofactors:
@@ -793,7 +790,7 @@ class Relation:
         return (self.target * self.multiplier - self.combination).is_zero()
 
     def multiplier_roots(self):
-        roots, cofactor = rational_roots(self.multiplier.num)
+        roots, cofactor = rational_roots(self.multiplier.znum)
         return roots, cofactor
 
     def serialize(self):
@@ -842,7 +839,7 @@ def _relation(P: VAPresentation, target: Element, words, w):
     if sol is None:
         return Obstruction(w, words_rank, combined_rank)
     # clear denominators into a primitive polynomial multiplier
-    multiplier = RatFunc(pprimitive(zlcm(c.den for c in sol if c)), PONE)
+    multiplier = RatFunc.over_z(zlcm(c.zden for c in sol if c), (1,))
     scale = multiplier
     combination = P.zero()
     word_coeffs = {}
@@ -959,7 +956,7 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
         )
     roots, cofactor = rel.multiplier_roots()
     poles, _ = _distinct_roots(
-        c.den for elem in [target] + [e for _, e in words] for c in elem.data.values()
+        c.zden for elem in [target] + [e for _, e in words] for c in elem.data.values()
     )
     return DecouplingReport(
         w, com.kernel_dim, len(words), target, rel, roots, cofactor, poles

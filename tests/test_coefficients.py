@@ -4,12 +4,13 @@ import copy
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
 from vertexalg import coefficients
 from vertexalg.coefficients import (
+    RF_ONE,
     DivergesAtInfinity,
     EvaluationAtPole,
     RatFunc,
@@ -52,11 +53,26 @@ def test_gcd_canonicalization():
     f = (K * K - 4) / (K + 2)
     assert f == K - 2
     assert str(f) == "(k - 2)"
+    # denominators sharing k: the sum's numerator cancels k as well
+    one = RatFunc.const(1)
+    g = one / (K * (K + 1)) - RatFunc.const(2) / (K * (K + 2))
+    assert g == -one / ((K + 1) * (K + 2))
+    _assert_canonical(g)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDenominator):
         K / RatFunc.const(0)
+
+
+def test_constructor_strips_trailing_zeros():
+    zero = RatFunc((Fraction(0), Fraction(0)))
+    assert not zero and zero == RatFunc.const(0)
+    one = RatFunc((Fraction(1), Fraction(0)))
+    assert one == RF_ONE and one.is_constant()
+    assert RatFunc((Fraction(1),), (Fraction(2), Fraction(0))) == RatFunc.const(Fraction(1, 2))
+    with pytest.raises(ZeroDenominator):
+        RatFunc((Fraction(1),), (Fraction(0), Fraction(0)))
 
 
 def test_evaluate():
@@ -369,8 +385,26 @@ def test_ratfunc_chains_match_reference(seed):
         ref = _reference(*ref)
         assert (value.num, value.den) == ref
         assert all(type(c) is Fraction for c in value.num + value.den)
+        _assert_canonical(operand)
+        _assert_canonical(value)
         if not value or len(value.num) + len(value.den) > 10:
             value, ref = RatFunc.const(1), one
+
+
+def _assert_canonical(value):
+    """znum/zden: coprime over Z[k], content included, zden[-1] > 0, zero
+    as 0/1; the same value from Fraction tuples, int tuples and its text."""
+    n, d = value.znum, value.zden
+    assert all(type(c) is int for c in n + d)
+    assert d[-1] > 0
+    assert gcd(*n, *d) == 1
+    assert len(euclid_gcd(n, d)) == 1
+    if not value:
+        assert (n, d) == ((), (1,))
+    for other in (RatFunc(value.num, value.den), RatFunc(n, d),
+                  RatFunc.over_z(n, d), parse_ratfunc(str(value))):
+        assert other == value and hash(other) == hash(value)
+        assert (other.znum, other.zden) == (n, d)
 
 
 def _dense_rank(rows, ncols):

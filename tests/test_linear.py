@@ -244,6 +244,17 @@ def osp_weight4_system():
     return commutant_system(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
 
 
+def test_engine_coefficients_stay_over_z():
+    # every coefficient the engine memoizes and every kernel coordinate
+    # holds ints in znum/zden: no Fraction leaks into the integer form
+    P = affine(builtin_lie("osp(1|2)"), K)
+    report = commutant_basis(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
+    coeffs = [c for out in P._memo.values() for c in out.values()]
+    coeffs += [c for vec in report.kernel_vectors for c in vec]
+    assert len(coeffs) > 100
+    assert all(type(x) is int for c in coeffs for x in c.znum + c.zden)
+
+
 def test_eliminate_leaves_input_rows_intact(osp_weight4_system):
     system = osp_weight4_system
     rows = copy.deepcopy(system.rows)
