@@ -269,7 +269,8 @@ def _rational_real_roots(p):
 def qsolve(rows, ncols):
     """Rank of sparse rows over Q, and a solution for each right-hand side.
 
-    rows are dicts col -> Fraction, left unchanged.  Columns below ncols are
+    rows are dicts col -> int or Fraction, left unchanged; any other entry,
+    a float included, raises TypeError.  Columns below ncols are
     the unknowns and every other column is a right-hand side.  Returns
     (rank, solutions): solutions maps each right-hand side that occurs in a
     row (one that occurs in none is zero) to a solution, ncols Fractions
@@ -277,8 +278,8 @@ def qsolve(rows, ncols):
     inconsistent.  Each column's pivot is the first remaining row with an
     entry there; without right-hand sides only this forward elimination runs.
     """
-    active = [{c: v for c, v in row.items() if v} for row in rows]
-    active = [row for row in active if row]
+    active = [{c: exact_scalar(v) for c, v in row.items()} for row in rows]
+    active = [row for row in ({c: v for c, v in r.items() if v} for r in active) if row]
     pivots = []
     for col in range(ncols):
         i = next((i for i, row in enumerate(active) if col in row), None)
@@ -356,23 +357,35 @@ def rank_mod_p(rows, ncols, k0):
                 out[col] = num * pow(den, -1, p) % p
         if out:
             active.append(out)
+    # rows_at[c]: the remaining rows, by position, with an entry in column c
+    rows_at = {}
+    for i, row in enumerate(active):
+        for c in row:
+            rows_at.setdefault(c, set()).add(i)
     rank = 0
     for col in range(ncols):
-        i = next((i for i, row in enumerate(active) if col in row), None)
-        if i is None:
+        hits = rows_at.pop(col, None)
+        if not hits:
             continue
-        prow = active.pop(i)
+        pivot = min(hits)
+        hits.remove(pivot)
+        prow = active[pivot]
+        pinv = pow(prow.pop(col), -1, p)
+        for c in prow:
+            rows_at[c].discard(pivot)
         rank += 1
-        pinv = pow(prow[col], -1, p)
-        for row in active:
-            if col in row:
-                f = row[col] * pinv % p
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]
+        for i in hits:
+            row = active[i]
+            f = row.pop(col) * pinv % p
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if not nv:
+                    del row[c]
+                    rows_at[c].discard(i)
+                    continue
+                if c not in row:
+                    rows_at.setdefault(c, set()).add(i)
+                row[c] = nv
     return rank
 
 

@@ -12,7 +12,8 @@ A definition file is a single JSON document with optional sections:
 
 Constructor specs name built-in families with parameters, e.g.
 "affine:sl2@k", "betagamma:1", "tau:1"; "A * B" builds tensor products.
-A rank n is at most MAX_RANK, and a level obeys the degree limit of
+A rank n is at most MAX_RANK, a Lie basis has at most MAX_LIE_DIM vectors
+(validation is cubic in it), and a level obeys the degree limit of
 vertexalg.coefficients.
 """
 
@@ -43,6 +44,8 @@ class DefinitionError(VAError):
 
 # largest rank n in a "<family>:<n>" constructor spec
 MAX_RANK = 100
+# largest basis of a "lie" section
+MAX_LIE_DIM = 100
 
 
 def _lists(value, size=None) -> bool:
@@ -63,6 +66,10 @@ def parse_lie_section(doc) -> LiePresentation:
     constants = doc.get("constants", [])
     if not _lists(doc.get("basis"), 2):
         raise DefinitionError(f'lie {name!r}: "basis" must be a list of [name, parity]')
+    if len(doc["basis"]) > MAX_LIE_DIM:
+        raise DefinitionError(
+            f'lie {name!r}: "basis" has {len(doc["basis"])} vectors, more than {MAX_LIE_DIM}'
+        )
     if not (_lists(constants, 3) and all(_lists(c[2], 2) for c in constants)):
         raise DefinitionError(
             f'lie {name!r}: "constants" must be a list of [i, j, [[m, value], ...]]'

@@ -11,6 +11,7 @@ computed, not keyed in.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .coefficients import Rational, qsolve
 
@@ -81,68 +82,78 @@ class LiePresentation:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
+        """Check the axioms on integer tables: the constants times the lcm
+        of their denominators, and the form times the lcm of its own.
+        Antisymmetry and supersymmetry are linear, Jacobi is homogeneous of
+        degree 2 in the constants and invariance is bilinear in (constants,
+        form), so the scaled tables pass exactly when these do."""
         n = self.dim
         if len(self.form) != n or any(len(row) != n for row in self.form):
             raise LieError("form matrix has wrong shape")
         for (i, j) in self.brackets:
             if not (0 <= i < n and 0 <= j < n):
                 raise LieError(f"bracket index out of range: ({i}, {j})")
+        brackets = _cleared(self.brackets)
+        form = _cleared({i: dict(enumerate(row)) for i, row in enumerate(self.form)})
         for i in range(n):
             for j in range(n):
                 pi, pj = self.parities[i], self.parities[j]
                 sign = -1 if (pi and pj) else 1
                 # parity of the bracket
-                for m, c in self.bracket(i, j).items():
+                for m in self.bracket(i, j):
                     if self.parities[m] != (pi + pj) % 2:
                         raise LieError(
                             f"bracket [{self.names[i]},{self.names[j]}] "
                             f"has wrong parity component {self.names[m]}"
                         )
                 # super-antisymmetry: [x,y] = -(-1)^{p(x)p(y)} [y,x]
-                lhs = self.bracket(i, j)
-                rhs = self.bracket(j, i)
-                keys = set(lhs) | set(rhs)
-                for m in keys:
+                lhs = brackets.get((i, j), {})
+                rhs = brackets.get((j, i), {})
+                for m in set(lhs) | set(rhs):
                     if lhs.get(m, 0) != -sign * rhs.get(m, 0):
                         raise LieError(
                             f"antisymmetry fails on ({self.names[i]}, {self.names[j]})"
                         )
                 # supersymmetry of B; odd-even pairing vanishes
-                if self.form[i][j] != sign * self.form[j][i]:
+                if form[i][j] != sign * form[j][i]:
                     raise LieError(
                         f"form not supersymmetric at ({self.names[i]}, {self.names[j]})"
                     )
-                if pi != pj and self.form[i][j] != 0:
+                if pi != pj and form[i][j]:
                     raise LieError("form pairs opposite parities")
-        self._check_jacobi()
-        self._check_invariance()
+        # partners[a]: the m with [x_a, x_m] != 0, ascending
+        partners = [[] for _ in range(n)]
+        for a, m in sorted(brackets):
+            partners[a].append(m)
+        self._check_jacobi(brackets, partners)
+        self._check_invariance(brackets, partners, form)
 
-    def _check_jacobi(self):
+    def _check_jacobi(self, brackets, partners):
         """[x_i, [x_j, x_m]] = [[x_i, x_j], x_m] + (-1)^{p_i p_j} [x_j, [x_i, x_m]].
 
         Both sides are summed from the structure constants.  A triple whose
         brackets [x_i, x_j], [x_j, x_m] and [x_i, x_m] all vanish satisfies
-        it trivially and is skipped; the first failing triple is still the
-        first in (i, j, m) order.
+        it trivially and is not visited; the first failing triple is still
+        the first in (i, j, m) order.
         """
         n = self.dim
+        empty = {}
+        bracket = lambda i, j: brackets.get((i, j), empty)
         for i in range(n):
             for j in range(n):
                 sign = -1 if (self.parities[i] and self.parities[j]) else 1
-                bij = self.bracket(i, j)
-                for m in range(n):
-                    bjm, bim = self.bracket(j, m), self.bracket(i, m)
-                    if not (bij or bjm or bim):
-                        continue
+                bij = bracket(i, j)
+                for m in range(n) if bij else sorted({*partners[i], *partners[j]}):
+                    bjm, bim = bracket(j, m), bracket(i, m)
                     diff = {}
                     # [x_i, [x_j, x_m]] - (-1)^{p_i p_j} [x_j, [x_i, x_m]]
                     for scale, outer, inner in ((1, i, bjm), (-sign, j, bim)):
                         for t, c in inner.items():
-                            for s, d in self.bracket(outer, t).items():
+                            for s, d in bracket(outer, t).items():
                                 diff[s] = diff.get(s, 0) + scale * c * d
                     # - [[x_i, x_j], x_m]
                     for t, c in bij.items():
-                        for s, d in self.bracket(t, m).items():
+                        for s, d in bracket(t, m).items():
                             diff[s] = diff.get(s, 0) - c * d
                     if any(diff.values()):
                         raise LieError(
@@ -150,19 +161,18 @@ class LiePresentation:
                             f"({self.names[i]}, {self.names[j]}, {self.names[m]})"
                         )
 
-    def _check_invariance(self):
+    def _check_invariance(self, brackets, partners, form):
         # B([x,y], z) = B(x, [y,z]); both sides vanish when [x_i, x_j] and
         # [x_j, x_m] do
         n = self.dim
+        empty = {}
         for i in range(n):
             for j in range(n):
-                bij = self.bracket(i, j)
-                for m in range(n):
-                    bjm = self.bracket(j, m)
-                    if not (bij or bjm):
-                        continue
-                    lhs = sum((c * self.form[t][m] for t, c in bij.items()), Fraction(0))
-                    rhs = sum((c * self.form[i][t] for t, c in bjm.items()), Fraction(0))
+                bij = brackets.get((i, j), empty)
+                for m in range(n) if bij else partners[j]:
+                    bjm = brackets.get((j, m), empty)
+                    lhs = sum(c * form[t][m] for t, c in bij.items())
+                    rhs = sum(c * form[i][t] for t, c in bjm.items())
                     if lhs != rhs:
                         raise LieError(
                             "form not invariant on triple "
@@ -259,6 +269,13 @@ def lie_from_constants(basis, constants, form, name="lie") -> LiePresentation:
     return LiePresentation(names, parities, brackets, form, name=name)
 
 
+def _cleared(table):
+    """A table of dicts, every value times the lcm of their denominators."""
+    d = lcm(*(c.denominator for comp in table.values() for c in comp.values()))
+    return {key: {m: c.numerator * (d // c.denominator) for m, c in comp.items()}
+            for key, comp in table.items()}
+
+
 def _exact(value, what) -> Fraction:
     """An exact number from an int, a Fraction or a "p/q" string."""
     if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
@@ -273,50 +290,45 @@ def _exact(value, what) -> Fraction:
 # Classical families from matrices in the defining representation
 
 
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            if a[i][k]:
-                for j in range(p):
-                    out[i][j] += a[i][k] * b[k][j]
+def _matrix(n, *terms):
+    """The n x n matrix sum of c E_rs over the terms (r, s, c)."""
+    out = [[0] * n for _ in range(n)]
+    for r, s, c in terms:
+        out[r][s] += c
     return out
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _unit(n, i, j):
-    m = [[Fraction(0)] * n for _ in range(n)]
-    m[i][j] = Fraction(1)
-    return m
-
-
-def _mat_add_scaled(a, b, c):
-    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
     """Even Lie algebra spanned by given matrices, trace form times form_scale.
 
-    Structure constants come from expanding every commutator [x_i, x_j] with
-    i < j in the span, all in one elimination over Q; [x_j, x_i] is minus
-    that expansion.  The matrices must be linearly independent and closed
-    under commutator; LieError says which fails.
+    The matrices (int or Fraction entries) are scaled once to integer
+    matrices D x_i, D the lcm of their denominators.  Structure constants
+    come from expanding every commutator [D x_i, D x_j] = D^2 [x_i, x_j] with
+    i < j in the span of the D x_m, all in one elimination over Q, and
+    dividing the coordinates by D; [x_j, x_i] is minus that expansion.  The
+    matrices must be linearly independent and closed under commutator;
+    LieError says which fails.
     """
     dim = len(matrices)
     size = len(matrices[0])
-    cells = [(r, s) for r in range(size) for s in range(size)]
-    # one row per matrix entry; the unknowns are coordinates in the basis,
-    # and the commutator [x_i, x_j], i < j, is right-hand side dim * (i + 1) + j
-    rows = [{m: mat[r][s] for m, mat in enumerate(matrices)} for r, s in cells]
+    d = lcm(*(x.denominator for mat in matrices for row in mat for x in row))
+    mats = [[[x.numerator * (d // x.denominator) for x in row] for row in mat]
+            for mat in matrices]
+    entries = [[(r, s, v) for r, row in enumerate(mat) for s, v in enumerate(row) if v]
+               for mat in mats]
+    # one row per matrix entry (r, s), row r * size + s; the unknowns are
+    # coordinates in the basis, and the commutator [x_i, x_j], i < j, is
+    # right-hand side dim * (i + 1) + j
+    rows = [{m: mat[r][s] for m, mat in enumerate(mats)} for r in range(size) for s in range(size)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            comm = _mat_sub(_mat_mul(matrices[i], matrices[j]), _mat_mul(matrices[j], matrices[i]))
-            for row, (r, s) in zip(rows, cells):
-                row[dim * (i + 1) + j] = comm[r][s]
+            col = dim * (i + 1) + j
+            for sign, a, b in ((1, i, j), (-1, j, i)):
+                for r, t, v in entries[a]:
+                    for s, w in enumerate(mats[b][t]):
+                        if w:
+                            row = rows[r * size + s]
+                            row[col] = row.get(col, 0) + sign * v * w
     rank, solutions = qsolve(rows, dim)
     if rank < dim:
         raise LieError("matrices are linearly dependent")
@@ -327,24 +339,26 @@ def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
             coords = solutions.get(dim * (i + 1) + j, ())
             if coords is None:
                 raise LieError("commutator not in the span of the basis")
-            comp = {m: c for m, c in enumerate(coords) if c}
+            comp = {m: c / d for m, c in enumerate(coords) if c}
             if comp:
                 brackets[(i, j)] = comp
                 brackets[(j, i)] = {m: -c for m, c in comp.items()}
-    # B(x_i, x_j) = scale * sum_{r,s} x_i[r][s] x_j[s][r] is symmetric
+    # B(x_i, x_j) = form_scale * sum_{r,s} x_i[r][s] x_j[s][r] is symmetric,
+    # and the integer matrices give that sum times D^2
     form = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            b = sum((matrices[i][r][s] * matrices[j][s][r] for r, s in cells), Fraction(0))
-            form[i][j] = form[j][i] = form_scale * b
+            b = sum(v * mats[j][s][r] for r, s, v in entries[i])
+            form[i][j] = form[j][i] = form_scale * Fraction(b, d * d)
     return LiePresentation(names, [EVEN] * dim, brackets, form, name=name)
 
 
 def _sl2() -> LiePresentation:
     # H = diag(1/2, -1/2), Xp = e12, Xm = e21; B = trace form on C^2,
     # so B(H,H) = 1/2 and B(Xp,Xm) = 1, matching the affine OPE displays.
-    h = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(-1, 2)]]
-    return lie_from_matrices(["H", "Xp", "Xm"], [h, _unit(2, 0, 1), _unit(2, 1, 0)], name="sl2")
+    h = _matrix(2, (0, 0, Fraction(1, 2)), (1, 1, Fraction(-1, 2)))
+    return lie_from_matrices(["H", "Xp", "Xm"], [h, _matrix(2, (0, 1, 1)), _matrix(2, (1, 0, 1))],
+                             name="sl2")
 
 
 def _sl3() -> LiePresentation:
@@ -354,13 +368,10 @@ def _sl3() -> LiePresentation:
         for j in range(3):
             if i != j:
                 names.append(f"E{i+1}{j+1}")
-                mats.append(_unit(3, i, j))
+                mats.append(_matrix(3, (i, j, 1)))
     for i in range(2):
         names.append(f"H{i+1}")
-        m = [[Fraction(0)] * 3 for _ in range(3)]
-        m[i][i] = Fraction(1)
-        m[i + 1][i + 1] = Fraction(-1)
-        mats.append(m)
+        mats.append(_matrix(3, (i, i, 1), (i + 1, i + 1, -1)))
     return lie_from_matrices(names, mats, name="sl3")
 
 
@@ -370,7 +381,7 @@ def _gl(n: int) -> LiePresentation:
     for i in range(n):
         for j in range(n):
             names.append(f"E{i+1}{j+1}")
-            mats.append(_unit(n, i, j))
+            mats.append(_matrix(n, (i, j, 1)))
     return lie_from_matrices(names, mats, name=f"gl{n}")
 
 
@@ -381,21 +392,15 @@ def _sp(n: int) -> LiePresentation:
     for j in range(n):
         for k in range(j, n):
             names.append(f"S{j+1}{k+1}")
-            mats.append(_mat_add_scaled(_unit(2 * n, j, k + n), _unit(2 * n, k, j + n), Fraction(1)))
+            mats.append(_matrix(2 * n, (j, k + n, 1), (k, j + n, 1)))
     for j in range(n):
         for k in range(j, n):
             names.append(f"T{j+1}{k+1}")
-            mats.append(
-                _mat_add_scaled(
-                    [[Fraction(0)] * (2 * n) for _ in range(2 * n)],
-                    _mat_add_scaled(_unit(2 * n, j + n, k), _unit(2 * n, k + n, j), Fraction(1)),
-                    Fraction(-1),
-                )
-            )
+            mats.append(_matrix(2 * n, (j + n, k, -1), (k + n, j, -1)))
     for j in range(n):
         for k in range(n):
             names.append(f"U{j+1}{k+1}")
-            mats.append(_mat_add_scaled(_unit(2 * n, j, k), _unit(2 * n, n + k, n + j), Fraction(-1)))
+            mats.append(_matrix(2 * n, (j, k, 1), (n + k, n + j, -1)))
     return lie_from_matrices(names, mats, name=f"sp{2*n}")
 
 
@@ -406,7 +411,7 @@ def _so(m: int) -> LiePresentation:
     for i in range(m):
         for j in range(i + 1, m):
             names.append(f"M{i+1}{j+1}")
-            mats.append(_mat_add_scaled(_unit(m, i, j), _unit(m, j, i), Fraction(-1)))
+            mats.append(_matrix(m, (i, j, 1), (j, i, -1)))
     if not mats:
         return LiePresentation([], [], {}, [], name=f"so{m}")
     return lie_from_matrices(names, mats, form_scale=Fraction(1, 2), name=f"so{m}")

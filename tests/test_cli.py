@@ -7,7 +7,7 @@ import pytest
 
 from vertexalg import cli
 from vertexalg.cli import main
-from vertexalg.deffiles import build_algebra, load_definition
+from vertexalg.deffiles import MAX_LIE_DIM, build_algebra, load_definition
 from vertexalg.suites import run_suite
 
 
@@ -195,3 +195,22 @@ def test_cli_bad_lie_definition(tmp_path, capsys):
     }))
     assert main(["define", "--file", str(bad)]) == 2
     assert "antisymmetry" in capsys.readouterr().err
+
+
+def test_cli_lie_basis_limit(tmp_path, capsys):
+    # validation is cubic in the basis size, so a larger basis is refused
+    # before any check runs
+    n = MAX_LIE_DIM + 1
+    doc = {
+        "lie": {
+            "name": "big",
+            "basis": [[f"a{i}", "even"] for i in range(n)],
+            "form": [[int(i == j) for j in range(n)] for i in range(n)],
+        },
+        "algebra": "affine:big@k",
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["define", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"basis"' in err and str(MAX_LIE_DIM) in err

@@ -479,6 +479,16 @@ def test_qsolve_planted_systems(seed):
     assert set(solutions) <= set(rhs)
 
 
+def test_qsolve_is_exact_on_int_rows():
+    # int / int would be a float: 2x + 1 = 0 must give x = -1/2 exactly
+    rank, solutions = qsolve([{0: 2, 1: 1}], 1)
+    assert (rank, solutions) == (1, {1: [Fraction(1, 2)]})
+    assert type(solutions[1][0]) is Fraction
+    for bad in (2.0, 0.0):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            qsolve([{0: 1, 1: bad}], 1)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_rank_mod_p_planted_systems(seed):
     # each row times a RatFunc that is a nonzero constant at k0, plus

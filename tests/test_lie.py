@@ -1,6 +1,8 @@
 """Lie presentations: validation, built-ins, dual bases, Casimir data."""
 
+import copy
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -90,32 +92,81 @@ def _dense_validation_message(names, parities, brackets, form):
     return None
 
 
+def _shifted(L, brackets, form, rng, shift, in_form):
+    """Copies of the tables with one structure constant (and its
+    super-antisymmetric partner) or one form entry (and its supersymmetric
+    partner) shifted."""
+    brackets = {key: dict(comp) for key, comp in brackets.items()}
+    form = [list(row) for row in form]
+    if not in_form:
+        i, j = rng.choice([(i, j) for i, j in sorted(brackets) if i != j])
+        m = rng.choice(sorted(brackets[i, j]))
+        brackets[i, j][m] += shift
+        brackets[j, i][m] -= (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+    else:
+        i, j = rng.choice([(i, j) for i, j in product(range(L.dim), repeat=2)
+                           if form[i][j] and i <= j])
+        form[i][j] += shift
+        if i != j:
+            form[j][i] += (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+    return brackets, form
+
+
+def _assert_fails_as_dense_reference(L, brackets, form):
+    want = _dense_validation_message(L.names, L.parities, brackets, form)
+    assert want is not None
+    with pytest.raises(LieError) as err:
+        LiePresentation(L.names, L.parities, brackets, form)
+    assert str(err.value) == want
+
+
 def test_sparse_checks_match_dense_reference():
-    # one structure constant (with its super-antisymmetric partner) or one
-    # form entry (with its supersymmetric partner) shifted
+    # integer and fractional shifts: the checks run on tables scaled by the
+    # lcm of their denominators, which a shift by 1/3 or 3/2 changes
     rng = random.Random(61)
+    shifts = (-2, -1, 1, 2, Fraction(-1, 3), Fraction(1, 3), Fraction(-3, 2), Fraction(3, 2))
     for name in ("sl3", "osp(1|2)"):
         L = builtin_lie(name)
-        for t in range(6):
-            brackets = {key: dict(comp) for key, comp in L.brackets.items()}
-            form = [list(row) for row in L.form]
-            shift = rng.choice((-2, -1, 1, 2))
-            if t % 2 == 0:
-                i, j = rng.choice([(i, j) for i, j in sorted(brackets) if i != j])
-                m = rng.choice(sorted(brackets[i, j]))
-                brackets[i, j][m] += shift
-                brackets[j, i][m] -= (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
-            else:
-                i, j = rng.choice([(i, j) for i, j in product(range(L.dim), repeat=2)
-                                   if form[i][j] and i <= j])
-                form[i][j] += shift
-                if i != j:
-                    form[j][i] += (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
-            want = _dense_validation_message(L.names, L.parities, brackets, form)
-            assert want is not None
-            with pytest.raises(LieError) as err:
-                LiePresentation(L.names, L.parities, brackets, form)
-            assert str(err.value) == want
+        for t in range(12):
+            brackets, form = _shifted(L, L.brackets, L.form, rng, rng.choice(shifts), t % 2)
+            _assert_fails_as_dense_reference(L, brackets, form)
+
+
+def _rescaled(L, lam):
+    """The tables of L in the basis y_i = lam_i x_i."""
+    brackets = {(i, j): {m: c * lam[i] * lam[j] / lam[m] for m, c in comp.items()}
+                for (i, j), comp in L.brackets.items()}
+    form = [[c * lam[i] * lam[j] for j, c in enumerate(row)] for i, row in enumerate(L.form)]
+    return brackets, form
+
+
+@pytest.mark.parametrize("name, digits", [("sl3", 40), ("sp4", 300)])
+def test_rescaled_algebras_match_dense_reference(name, digits):
+    # distinct large rationals make the lcm of the denominators, and so the
+    # integer tables, large; validation must stay exact and fast
+    rng = random.Random(digits)
+    L = builtin_lie(name)
+    big = lambda: rng.randrange(10 ** (digits - 1), 10 ** digits)
+    brackets, form = _rescaled(L, [Fraction(big(), big()) for _ in range(L.dim)])
+    start = time.perf_counter()
+    LiePresentation(L.names, L.parities, brackets, form)
+    assert time.perf_counter() - start < 2
+    for in_form in (0, 1):
+        shift = Fraction(big(), big())
+        _assert_fails_as_dense_reference(L, *_shifted(L, brackets, form, rng, shift, in_form))
+
+
+def test_builtin_lie_returns_fresh_objects():
+    # no cache: each call builds its own tables, and mutating one result
+    # does not reach the next
+    first, second = builtin_lie("sl2"), builtin_lie("sl2")
+    assert first is not second
+    want = copy.deepcopy((first.brackets, first.form))
+    first.brackets[(0, 1)][1] += 1
+    del first.brackets[(1, 2)]
+    first.form = ((1,),)
+    for L in (second, builtin_lie("sl2")):
+        assert (L.brackets, L.form) == want
 
 
 def test_matrix_brackets_expand_both_orders(monkeypatch):
