@@ -8,6 +8,7 @@ from .coefficients import (
     ZeroDenominator,
     parse_ratfunc,
 )
+from .constructions import diagonal_current
 from .core import Element, Generator, LambdaPoly, VAPresentation, VAError
 from .lie import LiePresentation, builtin_lie, lie_from_constants
 
@@ -24,6 +25,7 @@ __all__ = [
     "VAPresentation",
     "ZeroDenominator",
     "builtin_lie",
+    "diagonal_current",
     "lie_from_constants",
     "parse_ratfunc",
 ]

@@ -3,11 +3,15 @@
 Exit codes: 0 all checks pass, 1 a check or computation reports failure,
 2 usage or input errors.
 
-The cost of a solve grows steeply with its weight, so the weight of
-commutant and nongeneric (--weight) and of the find-relation target is at
-most MAX_SOLVE_WEIGHT; over it the command exits 2 with a message.  Since
-a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct is at least
--(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
+The cost of a solve grows steeply with its weight and its basis, so the
+weight of commutant and nongeneric (--weight) and of the find-relation
+target is at most MAX_SOLVE_WEIGHT, and the weight basis of a commutant or
+nongeneric solve, its columns, has at most MAX_SOLVE_COLUMNS monomials,
+counted without enumerating them; over either limit the command exits 2
+with a message.  Since a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct
+is at least -(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
+A constructor spec has at most deffiles.MAX_FACTORS tensor factors, and
+input nested too deeply for the parsers exits 2 as well.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .deffiles import CONSTRUCTOR_SPECS, DefinitionError, build_algebra, load_de
 from .expressions import MAX_DERIVATIVE_ORDER, format_element, parse_element
 from .lie import builtin_names
 from .linear import (
+    basis_size,
     commutant_basis,
     find_relation,
     nongeneric_levels,
@@ -33,6 +38,8 @@ from .suites import SUITES, run_suite
 
 # largest weight of a commutant, nongeneric or find-relation solve
 MAX_SOLVE_WEIGHT = 12
+# largest weight basis of a commutant or nongeneric solve
+MAX_SOLVE_COLUMNS = 2000
 
 
 def _solve_weight(w):
@@ -150,11 +157,22 @@ def _parse_actions(P, definition, text):
     return actions
 
 
-def cmd_commutant(args) -> int:
+def _commutant_solve(args):
+    """The commutant solve of commutant and nongeneric, within the limits."""
     weight = _solve_weight(args.weight)
     P, definition = _load_algebra(args.algebra)
     currents = _parse_actions(P, definition, args.currents)
-    report = commutant_basis(P, currents, weight)
+    columns = basis_size(P, weight)
+    if columns > MAX_SOLVE_COLUMNS:
+        raise LimitExceeded(
+            f"the weight-{weight} basis has {columns} monomials, more than the "
+            f"solve-column limit {MAX_SOLVE_COLUMNS}"
+        )
+    return commutant_basis(P, currents, weight)
+
+
+def cmd_commutant(args) -> int:
+    report = _commutant_solve(args)
     payload = report.serialize()
     payload["kernel_elements"] = [format_element(v) for v in report.kernel_elements()]
     lines = [
@@ -200,11 +218,7 @@ def cmd_find_relation(args) -> int:
 
 
 def cmd_nongeneric(args) -> int:
-    weight = _solve_weight(args.weight)
-    P, definition = _load_algebra(args.algebra)
-    currents = _parse_actions(P, definition, args.currents)
-    report = commutant_basis(P, currents, weight)
-    ng = nongeneric_levels(report)
+    ng = nongeneric_levels(_commutant_solve(args))
     payload = ng.serialize()
     lines = [
         f"certified nongeneric levels: {sorted(str(r) for r in ng.certified)}",
@@ -307,6 +321,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CoefficientError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -627,9 +627,6 @@ class RatFunc:
 
     # -- predicates --------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.znum
-
     def is_constant(self) -> bool:
         return len(self.znum) <= 1 and len(self.zden) == 1
 

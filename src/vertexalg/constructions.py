@@ -154,10 +154,6 @@ def free_field_conformal(P: VAPresentation) -> Element:
     return L
 
 
-def trivial(param="k") -> VAPresentation:
-    return VAPresentation([], {}, param=param, name="C")
-
-
 # ---------------------------------------------------------------------------
 # Affine vertex superalgebras
 
@@ -178,14 +174,14 @@ def _current_table(lie: LiePresentation, prefix: str, bracket_scale, level):
     return gens, table
 
 
-def affine(lie: LiePresentation, level, param="k", name=None) -> VAPresentation:
+def affine(lie: LiePresentation, level, param="k") -> VAPresentation:
     """V_level(g, B): one weight-1 generator per basis vector of g."""
     if isinstance(level, str):
         level = parse_ratfunc(level, param)
     else:
         level = as_ratfunc(level)
     gens, table = _current_table(lie, "", RF_ONE, level)
-    P = VAPresentation(gens, table, param=param, name=name or f"V({lie.name};{level})")
+    P = VAPresentation(gens, table, param=param, name=f"V({lie.name};{level})")
     P.metadata["lie"] = lie
     P.metadata["level"] = level
     return P
@@ -519,19 +515,9 @@ def s_orbifold_w(S: VAPresentation, r: int, k: int) -> Element:
     return _pair_sum(S, [(i, r + i) for i in range(r)], 2 * k + 1, -1, Fraction(1, 2))
 
 
-def f_orbifold_j(F: VAPresentation, n: int, k: int) -> Element:
-    """j-tilde of weight 2k+2 in the free fermion algebra of rank n."""
-    return _pair_sum(F, [(i, i) for i in range(n)], 2 * k + 1, 0, Fraction(-1, 2))
-
-
 def a_orbifold_w(A: VAPresentation, s: int, k: int) -> Element:
     """w of weight 2k+2 in the symplectic fermion algebra of rank s."""
     return _pair_sum(A, [(i, s + i) for i in range(s)], 2 * k, 1, Fraction(1, 2))
-
-
-def h_orbifold_j(H: VAPresentation, m: int, k: int) -> Element:
-    """j of weight 2k+2 in the rank-m Heisenberg algebra."""
-    return _pair_sum(H, [(i, i) for i in range(m)], 2 * k, 0, 1)
 
 
 def as_mixed_generators(AS: VAPresentation, n: int):
@@ -553,29 +539,24 @@ def as_mixed_generators(AS: VAPresentation, n: int):
     }
 
 
-def as_diagonal_sp_action(AS: VAPresentation, n: int):
-    """Diagonal sp_2n action on A(n) (x) S(n): tau currents plus an outer part.
+def as_diagonal_sp_action(n: int):
+    """Diagonal sp_2n action on AS = A(n) (x) S(n): tau currents plus an outer part.
 
-    Returns a list of (current, derivation) pairs, one per sp_2n basis vector,
-    and sp_2n; the derivation maps generator ids to element data and covers the
-    symplectic fermion factor, where the action is not inner.
+    Returns AS, a list of (current, derivation) pairs, one per sp_2n basis
+    vector, and sp_2n; the derivation maps generator ids to element data and
+    covers the symplectic fermion factor, where the action is not inner.
     """
-    tau = tau_embedding(n, param=AS.param)
+    tau = tau_embedding(n)
     S = tau.target
-    # push tau currents into the tensor: S-generators sit after the 2n A-ones
-    currents = []
-    for x in tau.images:
-        data = {
-            tuple((g + 2 * n, d) for g, d in M): c for M, c in x.data.items()
-        }
-        currents.append(Element(AS, data))
+    AS = symplectic_fermion(n).tensor(S)
+    currents = embed_image(tau, AS, 1).images
     # the outer action is the zero-mode action of each tau current on S(n),
     # read on A(n) through beta_i -> e_i, gamma_i -> f_i (the same ids)
     derivations = []
     for J in tau.images:
         images = {g: S.nprod(J, S.gen(g), 0).data for g in range(S.ngen)}
         derivations.append({g: data for g, data in images.items() if data})
-    return list(zip(currents, derivations)), tau.source
+    return AS, list(zip(currents, derivations)), tau.source
 
 
 def parafermion_sl3_generators(H6: VAPresentation):

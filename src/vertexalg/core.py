@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, floor, perm
 
-from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc, exact_scalar
+from .coefficients import RF_ONE, RF_ZERO, RatFunc, as_ratfunc
 
 EVEN, ODD = 0, 1
 
@@ -335,16 +335,6 @@ class VAPresentation:
         """D^times x = times! x_(-times-1) 1, read from the divided powers."""
         return self.nprod(x, self.vacuum(), -times - 1) * factorial(times)
 
-    def evaluate_level(self, x: "Element", k0) -> "Element":
-        self._require(x)
-        k0 = exact_scalar(k0)
-        out = {}
-        for M, c in x.data.items():
-            v = c.evaluate(k0)
-            if v:
-                out[M] = RatFunc.const(v)
-        return Element(self, out)
-
     def _require(self, *elems):
         for e in elems:
             if e.pres is not self:
@@ -371,12 +361,6 @@ class VAPresentation:
         if len(ps) != 1:
             raise NotHomogeneousError("parity", list(ps))
         return next(iter(ps))
-
-    def filtration_degree(self, x: "Element") -> int:
-        self._require(x)
-        if x.is_zero():
-            return 0
-        return max(len(M) for M in x.data)
 
     # -- consistency checks -----------------------------------------------------------
 
@@ -459,7 +443,7 @@ class VAPresentation:
 
     # -- combination -------------------------------------------------------------------
 
-    def tensor(self, other: "VAPresentation", name=None) -> "VAPresentation":
+    def tensor(self, other: "VAPresentation") -> "VAPresentation":
         if self.param != other.param:
             raise VAError(
                 f"coefficient field tags differ: {self.param!r} vs {other.param!r}"
@@ -482,7 +466,7 @@ class VAPresentation:
                 for cn in cs
             )
         out = VAPresentation(
-            gens, table, param=self.param, name=name or f"{self.name}(x){other.name}"
+            gens, table, param=self.param, name=f"{self.name}(x){other.name}"
         )
         out.metadata["tensor_factors"] = (self, other, offset)
         return out
@@ -503,15 +487,6 @@ class VAPresentation:
             tuple((g + offset, d) for g, d in M): c for M, c in x.data.items()
         }
         return Element(self, data)
-
-    def transfer(self, x: "Element") -> "Element":
-        """Reinterpret monomials of an element from a parallel presentation.
-
-        The source must have the same number of generators in the same order.
-        """
-        if len(x.pres.generators) != self.ngen:
-            raise MixedPresentationError("generator count mismatch")
-        return Element(self, {M: c for M, c in x.data.items() if c})
 
 
 def _is_canonical(factors, pres) -> bool:
@@ -590,35 +565,14 @@ class Element:
     def __hash__(self):
         return hash((id(self.pres), tuple(sorted(self.data.items()))))
 
-    def nprod(self, other, n: int) -> "Element":
-        return self.pres.nprod(self, other, n)
-
     def no(self, other) -> "Element":
         return self.pres.normal_order(self, other)
-
-    def bracket(self, other) -> "LambdaPoly":
-        return self.pres.lambda_bracket(self, other)
 
     def deriv(self, times=1) -> "Element":
         return self.pres.derivative(self, times)
 
-    def weight(self) -> Fraction:
-        return self.pres.weight_of(self)
-
-    def parity(self) -> int:
-        return self.pres.parity_of(self)
-
-    def filtration_degree(self) -> int:
-        return self.pres.filtration_degree(self)
-
-    def evaluate_level(self, k0) -> "Element":
-        return self.pres.evaluate_level(self, k0)
-
     def coeff(self, M) -> RatFunc:
         return self.data.get(tuple(M), RF_ZERO)
-
-    def terms(self):
-        return sorted(self.data.items())
 
     def __repr__(self):
         from .expressions import format_element

@@ -12,9 +12,10 @@ A definition file is a single JSON document with optional sections:
 
 Constructor specs name built-in families with parameters, e.g.
 "affine:sl2@k", "betagamma:1", "tau:1"; "A * B" builds tensor products.
-A rank n is at most MAX_RANK, a Lie basis has at most MAX_LIE_DIM vectors
-(validation is cubic in it), and a level obeys the degree limit of
-vertexalg.coefficients.
+A spec has at most MAX_FACTORS factors (build time grows faster than
+quadratically with their number), a rank n is at most MAX_RANK, a Lie basis
+has at most MAX_LIE_DIM vectors (validation is cubic in it), and a level
+obeys the degree limit of vertexalg.coefficients.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ class DefinitionError(VAError):
     pass
 
 
+# most tensor factors in a constructor spec
+MAX_FACTORS = 16
 # largest rank n in a "<family>:<n>" constructor spec
 MAX_RANK = 100
 # largest basis of a "lie" section
@@ -99,19 +102,23 @@ CONSTRUCTOR_SPECS = (
 )
 
 
-def build_algebra(spec: str, lie_table=None, param="k") -> VAPresentation:
+def build_algebra(spec: str, lie_table=None) -> VAPresentation:
     """Build a presentation from a constructor spec string."""
-    parts = [p.strip() for p in spec.split("*")]
-    built = [_build_atom(p, lie_table, param) for p in parts if p]
-    if not built:
+    parts = [p.strip() for p in spec.split("*") if p.strip()]
+    if not parts:
         raise DefinitionError("empty algebra spec")
+    if len(parts) > MAX_FACTORS:
+        raise DefinitionError(
+            f"{len(parts)} tensor factors exceed the limit {MAX_FACTORS}"
+        )
+    built = [_build_atom(p, lie_table) for p in parts]
     out = built[0]
     for nxt in built[1:]:
         out = out.tensor(nxt)
     return out
 
 
-def _build_atom(spec: str, lie_table, param) -> VAPresentation:
+def _build_atom(spec: str, lie_table) -> VAPresentation:
     if ":" not in spec:
         raise DefinitionError(f"bad constructor spec {spec!r}")
     head, arg = spec.split(":", 1)
@@ -130,23 +137,22 @@ def _build_atom(spec: str, lie_table, param) -> VAPresentation:
                 lie = builtin_lie(lie_name)
             except LieError as exc:
                 raise DefinitionError(str(exc)) from exc
-        return affine(lie, parse_ratfunc(level, param), param=param)
+        return affine(lie, parse_ratfunc(level))
     if head not in _RANK_BUILDERS and head not in ("tau", "sigma"):
         raise DefinitionError(f"unknown constructor {head!r}")
     rank = int(arg)
     if rank > MAX_RANK:
         raise DefinitionError(f"rank {rank} in {spec!r} exceeds the limit {MAX_RANK}")
     if head == "tau":
-        return tau_embedding(rank, param=param).target
+        return tau_embedding(rank).target
     if head == "sigma":
-        return sigma_embedding(rank, param=param).target
-    return _RANK_BUILDERS[head](rank, param=param)
+        return sigma_embedding(rank).target
+    return _RANK_BUILDERS[head](rank)
 
 
 class Definition:
-    def __init__(self, algebra, lie_table, currents, elements):
+    def __init__(self, algebra, currents, elements):
         self.algebra = algebra
-        self.lie_table = lie_table
         self.currents = currents
         self.elements = elements
 
@@ -185,4 +191,4 @@ def load_definition(path_or_doc) -> Definition:
         if not (isinstance(texts, dict) and all(isinstance(t, str) for t in texts.values())):
             raise DefinitionError(f'"{field}" must be an object of expression strings')
         named.append({name: parse_element(algebra, t) for name, t in texts.items()})
-    return Definition(algebra, lie_table, *named)
+    return Definition(algebra, *named)

@@ -75,6 +75,14 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        # the index of the ")" that closes each "(" that is closed
+        self.closing = {}
+        opened = []
+        for idx, tok in enumerate(self.toks):
+            if tok[:2] == ("sym", "("):
+                opened.append(idx)
+            elif tok[:2] == ("sym", ")") and opened:
+                self.closing[opened.pop()] = idx
 
     def peek(self):
         if self.pos < len(self.toks):
@@ -170,15 +178,9 @@ class _Parser:
         return None
 
     def _match_paren(self, open_idx: int) -> int:
-        depth = 0
-        for idx in range(open_idx, len(self.toks)):
-            if self.toks[idx][:2] == ("sym", "("):
-                depth += 1
-            elif self.toks[idx][:2] == ("sym", ")"):
-                depth -= 1
-                if depth == 0:
-                    return idx
-        raise ExprError("unbalanced parentheses", self.toks[open_idx][2])
+        if open_idx not in self.closing:
+            raise ExprError("unbalanced parentheses", self.toks[open_idx][2])
+        return self.closing[open_idx]
 
     def factor(self) -> Element:
         kind, val, start, _ = self.take()

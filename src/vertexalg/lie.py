@@ -45,12 +45,6 @@ class LiePresentation:
     def bracket(self, i: int, j: int) -> dict:
         return self.brackets.get((i, j), {})
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def sdim(self) -> int:
         return sum(1 if p == EVEN else -1 for p in self.parities)
 

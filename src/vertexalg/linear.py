@@ -63,8 +63,9 @@ the independent check: it applies every mode of every current.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, comb, gcd, lcm
 
 from .coefficients import (
     RF_ZERO,
@@ -106,7 +107,6 @@ class WeightBasis:
         self.pres = pres
         self.weight = Fraction(weight)
         self.monomials = tuple(monomials)
-        self.index = {M: i for i, M in enumerate(self.monomials)}
 
     def __len__(self):
         return len(self.monomials)
@@ -150,32 +150,45 @@ def weight_basis(P: VAPresentation, w) -> WeightBasis:
     return WeightBasis(P, w, _pbw_words(bases, w))
 
 
-def charge_filter(basis: WeightBasis, currents=None, charges=None, charge_maps=None):
-    """Sub-basis of simultaneous torus eigenvectors with the given charges.
+def basis_size(P: VAPresentation, w) -> int:
+    """len(weight_basis(P, w)), counted without enumerating the monomials.
 
-    Either currents (weight-one, acting diagonally through their zero modes)
-    or explicit charge_maps (dicts generator id -> Fraction) may be given.
+    The count is the coefficient of q^w in the product over the slots
+    (generator, derivative order) of 1/(1 - q^s) for an even slot of weight s
+    and 1 + q^s for an odd one; the slots of one weight and parity are taken
+    together.  Weights are counted in units of the lcm of their denominators.
+    """
+    w = exact_scalar(w)
+    if w < 0:
+        raise LinearError("weight must be nonnegative")
+    unit = lcm(w.denominator, *(g.weight.denominator for g in P.generators))
+    top = int(w * unit)
+    slots = Counter()
+    for g in P.generators:
+        for s in range(int(g.weight * unit), top + 1, unit):
+            slots[s, g.parity] += 1
+    counts = [1] + [0] * top
+    for (s, odd), m in slots.items():
+        # (1 + q^s)^m or (1 - q^s)^-m, up to q^top
+        series = [comb(m, j) if odd else comb(m + j - 1, j) for j in range(top // s + 1)]
+        counts = [sum(c * counts[i - s * j] for j, c in enumerate(series[: i // s + 1]))
+                  for i in range(top + 1)]
+    return counts[top]
+
+
+def charge_filter(basis: WeightBasis, currents) -> WeightBasis:
+    """Sub-basis of joint charge-0 eigenvectors of the currents' zero modes.
+
+    The currents have weight one and act diagonally on the generators.
     """
     P = basis.pres
-    maps = []
-    if charge_maps is not None:
-        maps = [dict(m) for m in charge_maps]
-    else:
-        for J in currents or []:
-            maps.append(_diagonal_charges(P, J))
-    if charges is None:
-        charges = [Fraction(0)] * len(maps)
-    charges = [exact_scalar(c) for c in charges]
-    if len(charges) != len(maps):
-        raise LinearError("one charge per current required")
-    if not maps:
-        return basis
+    maps = [_diagonal_charges(P, J) for J in currents]
     keep = []
     for M in basis.monomials:
         ok = True
-        for cm, q in zip(maps, charges):
+        for cm in maps:
             total = sum((cm.get(g, Fraction(0)) for g, _ in M), Fraction(0))
-            if total != q:
+            if total != 0:
                 ok = False
                 break
         if ok:
@@ -208,11 +221,10 @@ def _diagonal_charges(P: VAPresentation, J: Element) -> dict:
 
 
 class PolySystem:
-    """A sparse linear system over Q(param) kept as primitive rows over Z[param]."""
+    """A sparse linear system over Q(k) kept as primitive rows over Z[k]."""
 
-    def __init__(self, ncols, param="k"):
+    def __init__(self, ncols):
         self.ncols = ncols
-        self.param = param
         self.rows = []  # list of dict col -> integer polynomial (tuple of int)
         self.original_rows = []  # the rows as given, col -> RatFunc
         self.cleared_factors = []  # denominators cleared while building rows
@@ -479,7 +491,7 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
     for current, _ in actions:
         if current is not None and P.weight_of(current) != 1:
             raise LinearError("commutant currents must have weight one")
-    system = PolySystem(len(basis), param=P.param)
+    system = PolySystem(len(basis))
     nmax = int(ceil(w)) if w > 0 else 0
     # rows are indexed by (action, n, target monomial)
     for a_idx, n in _generating_modes(P, actions, nmax):
@@ -675,10 +687,7 @@ def graded_dimensions(P: VAPresentation, actions, w_max, w_min=None) -> dict:
     w = exact_scalar(w_min) if w_min is not None else step
     out = {}
     while w <= exact_scalar(w_max):
-        if actions:
-            out[w] = commutant_basis(P, actions, w).kernel_dim
-        else:
-            out[w] = len(weight_basis(P, w))
+        out[w] = commutant_basis(P, actions, w).kernel_dim
         w += step
     return out
 
@@ -693,10 +702,6 @@ class NongenericReport:
         self.candidates = set(candidates)
         self.poles = set(poles)
         self.factors = list(factors)    # rational-root-free pivot factors
-
-    @property
-    def levels(self):
-        return set(self.certified)
 
     def serialize(self):
         return {
@@ -857,14 +862,13 @@ def _relation(P: VAPresentation, target: Element, words, w):
 
 class DecouplingReport:
     def __init__(self, weight, commutant_dim, words_count, target, relation,
-                 roots, root_cofactor, poles):
+                 roots, poles):
         self.weight = weight
         self.commutant_dim = commutant_dim
         self.words_count = words_count
         self.target = target
         self.relation = relation
         self.roots = dict(roots)          # root -> multiplicity
-        self.root_cofactor = root_cofactor
         # the pinned target has poles exactly at the multiplier roots; the
         # remaining poles come from the generators' own normalization
         self.poles = set(poles) - set(self.roots)
@@ -929,10 +933,7 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
     w = exact_scalar(w)
     basis = None
     if charge_currents:
-        basis = charge_filter(
-            weight_basis(P, w), currents=charge_currents,
-            charges=[Fraction(0)] * len(charge_currents),
-        )
+        basis = charge_filter(weight_basis(P, w), charge_currents)
     com = commutant_basis(P, actions, w, basis=basis)
     if target is None:
         if target_shape is None:
@@ -954,10 +955,10 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
             f"target not in the span of words: ranks {rel.words_rank} vs "
             f"{rel.combined_rank}"
         )
-    roots, cofactor = rel.multiplier_roots()
+    roots, _ = rel.multiplier_roots()
     poles, _ = _distinct_roots(
         c.zden for elem in [target] + [e for _, e in words] for c in elem.data.values()
     )
     return DecouplingReport(
-        w, com.kernel_dim, len(words), target, rel, roots, cofactor, poles
+        w, com.kernel_dim, len(words), target, rel, roots, poles
     )

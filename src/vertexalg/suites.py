@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from .coefficients import RF_ONE, RatFunc, parse_ratfunc
@@ -18,8 +19,8 @@ from .constructions import (
     as_diagonal_sp_action,
     as_mixed_generators,
     bc_system,
-    beta_gamma,
     deformable_form,
+    free_field_conformal,
     heisenberg_pairs,
     limit_element,
     limit_presentation,
@@ -30,6 +31,7 @@ from .constructions import (
     primary_test,
     s_orbifold_w,
     sugawara,
+    sugawara_central_charge,
     symplectic_fermion,
     tau_embedding,
     virasoro_test,
@@ -39,6 +41,7 @@ from .linear import (
     commutant_basis,
     decoupling_multiplier,
     graded_dimensions,
+    invariant_basis,
     nongeneric_levels,
     solve_span,
     verify_commutant,
@@ -126,6 +129,8 @@ def suite_sugawara() -> SuiteReport:
             want = parse_ratfunc(c_text)
             _expect(ok, f"{lie_name}: not a Virasoro vector")
             _expect(c == want, f"{lie_name}: c = {c}, want {want}")
+            _expect(sugawara_central_charge(P) == c,
+                    f"{lie_name}: k sdim(g)/(k + h) = {sugawara_central_charge(P)}")
             for i in range(P.ngen):
                 okp, d = primary_test(L, P.gen(i))
                 _expect(okp and d == RF_ONE,
@@ -306,17 +311,32 @@ def suite_free_orbifolds() -> SuiteReport:
     for kk in (0, 1, 2):
         rep.run_check(f"S(1)-orbifold[w~^{2*kk+1}]", lambda kk=kk: s_orbifold(kk))
 
+    def s_dimensions():
+        # the trivial sl2 multiplicity [z^0]f - [z^2]f of the S(1) character,
+        # beta of charge -1 and gamma of charge 1, read off the weight basis
+        dims = {}
+        for w in (Fraction(n, 2) for n in range(1, 13)):
+            charges = Counter(sum(1 if g else -1 for g, _ in M) for M in weight_basis(S1, w))
+            dims[w] = invariant_basis(S1, tau.images, w).kernel_dim
+            _expect(dims[w] == charges[0] - charges[2],
+                    f"weight {w}: dimension {dims[w]}, character {charges[0] - charges[2]}")
+        return ("S(1)^Sp(2) graded dimensions {"
+                + ", ".join(f"{w}: {d}" for w, d in dims.items())
+                + "} equal [z^0]f - [z^2]f of the S(1) character")
+
+    rep.run_check("S(1)-invariant-dimensions", s_dimensions)
+
     def a_virasoro():
         A1 = symplectic_fermion(1)
         w0 = a_orbifold_w(A1, 1, 0)
         ok, c = virasoro_test(-w0)
         _expect(ok and c == RatFunc.const(-2), f"c = {c}")
+        _expect(free_field_conformal(A1) == -w0, "-w^0 is not the free-field conformal vector")
         return "-w^0 = -:ef: is a Virasoro vector of central charge -2"
 
     rep.run_check("A(1)-w0-virasoro", a_virasoro)
 
-    AS = symplectic_fermion(1).tensor(beta_gamma(1))
-    actions, _ = as_diagonal_sp_action(AS, 1)
+    AS, actions, _ = as_diagonal_sp_action(1)
     gens = as_mixed_generators(AS, 1)
 
     def mixed(name, el, weight):
@@ -333,6 +353,7 @@ def suite_free_orbifolds() -> SuiteReport:
         L = -gens["j"][0] + gens["w"][0]
         ok, c = virasoro_test(L)
         _expect(ok and c == RatFunc.const(-3), f"c = {c}")
+        _expect(free_field_conformal(AS) == L, "L is not the free-field conformal vector")
         return "L = -j^0 + w^1 has central charge -3 (= -3n at n = 1)"
 
     rep.run_check("AS-virasoro", n1_virasoro)

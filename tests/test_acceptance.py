@@ -101,7 +101,8 @@ def test_criterion_6_parafermion_sl2(suite_report):
 
 def test_criterion_7_free_orbifold_membership(suite_report):
     accept_suite(7, suite_report, "free-orbifolds", 600,
-                 checks=("S(1)-orbifold", "AS-mixed", "AS-virasoro"))
+                 checks=("S(1)-orbifold", "S(1)-invariant-dimensions", "AS-mixed",
+                         "AS-virasoro"))
 
 
 def test_criterion_8_deformable_limits(suite_report):

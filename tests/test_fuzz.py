@@ -2,8 +2,9 @@
 
 Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
 a message, never with a traceback.  Numbers over the size limits (derivative
-order and the n of nproduct, exponent and degree, rank, solve weight) end
-with 2 within a second.
+order and the n of nproduct, exponent and degree, rank, tensor factors, solve
+weight and solve columns) and input nested too deeply end with 2 within a
+second.
 """
 
 import copy
@@ -206,6 +207,10 @@ def test_huge_numbers_exit_quickly(capsys):
       "--generators", "a1"], 0),
     (["nproduct", "--algebra", "heisenberg:1", "--n=-33", "--left", "a1", "--right", "a1"], 0),
     (["nproduct", "--algebra", "heisenberg:1", "--n=-34", "--left", "a1", "--right", "a1"], 2),
+    (["normal-form", "--algebra", " * ".join(["betagamma:100"] * 16), "--expr=1"], 0),
+    (["normal-form", "--algebra", " * ".join(["betagamma:100"] * 17), "--expr=1"], 2),
+    # 2015 columns; heisenberg:61 has 1952 and passes, in about 6 s
+    (["commutant", "--algebra", "heisenberg:62", "--currents", "a1", "--weight", "2"], 2),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)
@@ -219,6 +224,7 @@ def test_huge_numbers_in_definition_files(tmp_path, capsys):
         lambda doc: doc.__setitem__("algebra", "affine:my_sl2@k * heisenberg:100000000"),
         lambda doc: doc["elements"].__setitem__("Gp", "D^100000000(:Xp b:)"),
         lambda doc: doc["currents"].__setitem__("J", "(k^1000000)*H - :b c:"),
+        lambda doc: doc.__setitem__("algebra", " * ".join(["affine:my_sl2@k"] + ["bc:1"] * 16)),
     ):
         doc = copy.deepcopy(DEFINITION)
         put(doc)
@@ -227,3 +233,19 @@ def test_huge_numbers_in_definition_files(tmp_path, capsys):
         code, seconds = _timed_main(["define", "--file", str(path)])
         assert code == 2 and seconds < 1
         assert "limit" in capsys.readouterr().err
+
+
+def test_deeply_nested_input_exits_cleanly(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    sl2 = "affine:sl2@" + "(" * 3000 + "k" + ")" * 3000
+    for args in (
+        ["define", "--file", str(path)],
+        ["normal-form", "--algebra", "heisenberg:1", "--expr=" + "(" * 3000 + "a1" + ")" * 3000],
+        ["normal-form", "--algebra", "heisenberg:1", "--expr=" + "D^1(" * 2000 + "a1" + ")" * 2000],
+        ["normal-form", "--algebra", "heisenberg:1", "--expr=" + ":a1 " * 3000 + "a1" + ":" * 3000],
+        ["bracket", "--algebra", sl2, "--left", "H", "--right", "H"],
+    ):
+        code, seconds = _timed_main(args)
+        assert code == 2 and seconds < 1, args[:3]
+        assert "nested too deeply" in capsys.readouterr().err

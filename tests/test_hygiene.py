@@ -1,7 +1,9 @@
 """Dead-code guard: an AST scan of the vertexalg package (standard library only).
 
 Every private module-level function and private method must be referenced
-somewhere in the package outside its own body, and every import must be used
+somewhere in the package outside its own body.  Every public function,
+class, method and property must be too, or be used by bench/ outside its
+tests, or be exported in vertexalg.__all__.  Every import must be used
 in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
 that another module defines.  No private function only forwards to a method.
@@ -14,6 +16,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vertexalg"
+BENCH = SRC.parent.parent / "bench"
 
 
 def _trees():
@@ -60,6 +63,62 @@ def test_every_private_function_is_referenced():
             if totals.get(fn.name, 0) <= own:
                 dead.append(f"{module}:{fn.lineno} {fn.name}")
     assert not dead, f"private functions with no reference: {dead}"
+
+
+def _public_defs(tree):
+    """Public module-level functions and classes, and public methods and
+    properties of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield fn
+
+
+def _bench_names():
+    """Names bench/ uses outside its own tests: loaded names, attributes,
+    imports, and the dotted parts of strings, since bench/tracing.py names
+    the functions it wraps by string."""
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        if path.name == "test_bench.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names.update(_referenced_names(tree))
+        names.update(part for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     for part in node.value.split("."))
+    return names
+
+
+def _exported_names(trees):
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_public_name_is_reached():
+    # a public function, class, method or property is named in src/ outside
+    # its own body, used by bench/, or exported in vertexalg.__all__; a name
+    # only the tests reach is dead
+    trees = _trees()
+    totals = {}
+    for tree in trees.values():
+        for name, n in _referenced_names(tree).items():
+            totals[name] = totals.get(name, 0) + n
+    reached = _bench_names() | _exported_names(trees)
+    dead = []
+    for module, tree in trees.items():
+        for node in _public_defs(tree):
+            own = _referenced_names(node).get(node.name, 0)
+            if totals.get(node.name, 0) <= own and node.name not in reached:
+                dead.append(f"{module}:{node.lineno} {node.name}")
+    assert not dead, f"public names reached only from tests: {dead}"
 
 
 def test_no_unused_imports():

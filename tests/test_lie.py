@@ -102,13 +102,13 @@ def _shifted(L, brackets, form, rng, shift, in_form):
         i, j = rng.choice([(i, j) for i, j in sorted(brackets) if i != j])
         m = rng.choice(sorted(brackets[i, j]))
         brackets[i, j][m] += shift
-        brackets[j, i][m] -= (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+        brackets[j, i][m] -= (-1 if (L.parities[i] and L.parities[j]) else 1) * shift
     else:
         i, j = rng.choice([(i, j) for i, j in product(range(L.dim), repeat=2)
                            if form[i][j] and i <= j])
         form[i][j] += shift
         if i != j:
-            form[j][i] += (-1 if (L.parity(i) and L.parity(j)) else 1) * shift
+            form[j][i] += (-1 if (L.parities[i] and L.parities[j]) else 1) * shift
     return brackets, form
 
 
@@ -219,9 +219,9 @@ def test_dual_basis_sl2():
     L = builtin_lie("sl2")
     duals = L.dual_basis()
     by_name = lambda vec: {L.names[m]: c for m, c in vec.items()}
-    assert by_name(duals[L.index("H")]) == {"H": 2}
-    assert by_name(duals[L.index("Xp")]) == {"Xm": 1}
-    assert by_name(duals[L.index("Xm")]) == {"Xp": 1}
+    assert by_name(duals[L.names.index("H")]) == {"H": 2}
+    assert by_name(duals[L.names.index("Xp")]) == {"Xm": 1}
+    assert by_name(duals[L.names.index("Xm")]) == {"Xp": 1}
 
 
 def test_dual_basis_pairing_property():
@@ -241,8 +241,8 @@ def test_dual_basis_orthonormal_abelian():
 
 def test_osp12_matches_papers_opes():
     L = builtin_lie("osp(1|2)")
-    fp, fm = L.index("phip"), L.index("phim")
-    xp = L.index("Xp")
+    fp, fm = L.names.index("phip"), L.names.index("phim")
+    xp = L.names.index("Xp")
     assert L.bracket(fp, fp) == {xp: Fraction(1, 2)}
     assert L.form[fp][fm] == Fraction(1, 2)
     assert L.form[fm][fp] == Fraction(-1, 2)
