@@ -192,6 +192,19 @@ def test_graded_dimensions_trivial_currents():
     }
 
 
+def test_s1_orbifold_dimensions_match_character_count():
+    tau = tau_embedding(1)
+    S1 = tau.target
+    for w in [2, Fraction(5, 2), 3, 4]:
+        rep = invariant_basis(S1, tau.images, w)
+        full = weight_basis(S1, w)
+        charge = lambda M: sum(1 if g >= 1 else -1 for g, _ in M)
+        count = sum(1 for M in full if charge(M) == 0) - sum(
+            1 for M in full if charge(M) == 2
+        )
+        assert rep.kernel_dim == count
+
+
 def test_solver_determinism():
     P = affine(builtin_lie("sl2"), K)
     r1 = commutant_basis(P, [P.gen("H")], 4).serialize()
