@@ -53,6 +53,21 @@ def _solve_weight(w):
     return w
 
 
+def _parsing(fn):
+    """fn, with input nested too deeply for its parser as an input error."""
+    @functools.wraps(fn)
+    def wrapped(*args):
+        try:
+            return fn(*args)
+        except RecursionError:
+            raise ValueError("input is nested too deeply") from None
+    return wrapped
+
+
+_load_definition = _parsing(load_definition)
+
+
+@_parsing
 def _load_algebra(spec: str):
     if spec.endswith(".json"):
         definition = load_definition(spec)
@@ -60,6 +75,7 @@ def _load_algebra(spec: str):
     return build_algebra(spec), None
 
 
+@_parsing
 def _resolve(pres, definition, text):
     if definition is not None:
         hit = definition.lookup(text.strip())
@@ -77,7 +93,7 @@ def _emit(args, payload, pretty_lines):
 
 
 def cmd_define(args) -> int:
-    definition = load_definition(args.file)
+    definition = _load_definition(args.file)
     P = definition.algebra
     payload = {
         "name": P.name,
@@ -321,9 +337,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CoefficientError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

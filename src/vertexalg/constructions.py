@@ -47,13 +47,13 @@ def _vac(c) -> dict:
 # Free field algebras
 
 
-def _free_field(name, names, parity, weight, pairing, param) -> VAPresentation:
+def _free_field(name, names, parity, weight, pairing) -> VAPresentation:
     """Generators of one parity and weight with [x_i lambda x_j] =
     lambda^(2 wt - 1) s for each (i, j): s of the pairing, all others zero."""
     gens = [Generator(i, x, parity, weight) for i, x in enumerate(names)]
     lower = ({},) * (int(2 * Fraction(weight)) - 1)
     table = {key: lower + (_vac(s),) for key, s in pairing.items()}
-    return VAPresentation(gens, table, param=param, name=name)
+    return VAPresentation(gens, table, name=name)
 
 
 def _pair_names(n: int, x: str, y: str) -> list:
@@ -72,49 +72,49 @@ def _paired(n: int, s, t) -> dict:
     return pairing
 
 
-def heisenberg(n: int, param="k") -> VAPresentation:
+def heisenberg(n: int) -> VAPresentation:
     """H(n): even weight-1 generators with [a^i_lambda a^j] = delta_ij lambda."""
     _check_rank(n)
     names = [f"a{i+1}" for i in range(n)]
-    return _free_field(f"H({n})", names, EVEN, 1, {(i, i): 1 for i in range(n)}, param)
+    return _free_field(f"H({n})", names, EVEN, 1, {(i, i): 1 for i in range(n)})
 
 
-def heisenberg_pairs(n: int, names=None, param="k") -> VAPresentation:
+def heisenberg_pairs(n: int, names=None) -> VAPresentation:
     """Rank-2n Heisenberg in paired form: [a^i_lambda abar^j] = delta_ij lambda."""
     _check_rank(n)
     if names is None:
         names = [f"a{i+1}" for i in range(n)] + [f"abar{i+1}" for i in range(n)]
     names = [names[i] for i in range(2 * n)]
-    return _free_field(f"Hpair({n})", names, EVEN, 1, _paired(n, 1, 1), param)
+    return _free_field(f"Hpair({n})", names, EVEN, 1, _paired(n, 1, 1))
 
 
-def free_fermion(n: int, param="k") -> VAPresentation:
+def free_fermion(n: int) -> VAPresentation:
     """F(n): odd weight-1/2 generators with [phi^i_lambda phi^j] = delta_ij."""
     _check_rank(n)
     names = [f"phi{i+1}" for i in range(n)]
     pairing = {(i, i): 1 for i in range(n)}
-    return _free_field(f"F({n})", names, ODD, Fraction(1, 2), pairing, param)
+    return _free_field(f"F({n})", names, ODD, Fraction(1, 2), pairing)
 
 
-def bc_system(n: int, param="k") -> VAPresentation:
+def bc_system(n: int) -> VAPresentation:
     """E(n): odd b^i, c^i of weight 1/2 with first-order pairing."""
     _check_rank(n)
     names = _pair_names(n, "b", "c")
-    return _free_field(f"E({n})", names, ODD, Fraction(1, 2), _paired(n, 1, 1), param)
+    return _free_field(f"E({n})", names, ODD, Fraction(1, 2), _paired(n, 1, 1))
 
 
-def beta_gamma(n: int, param="k") -> VAPresentation:
+def beta_gamma(n: int) -> VAPresentation:
     """S(n): even beta^i, gamma^i of weight 1/2, [beta_l gamma] = 1 = -[gamma_l beta]."""
     _check_rank(n)
     names = _pair_names(n, "beta", "gamma")
-    return _free_field(f"S({n})", names, EVEN, Fraction(1, 2), _paired(n, 1, -1), param)
+    return _free_field(f"S({n})", names, EVEN, Fraction(1, 2), _paired(n, 1, -1))
 
 
-def symplectic_fermion(n: int, param="k") -> VAPresentation:
+def symplectic_fermion(n: int) -> VAPresentation:
     """A(n): odd e^i, f^i of weight 1 with second-order pairing."""
     _check_rank(n)
     names = _pair_names(n, "e", "f")
-    return _free_field(f"A({n})", names, ODD, 1, _paired(n, 1, -1), param)
+    return _free_field(f"A({n})", names, ODD, 1, _paired(n, 1, -1))
 
 
 def free_field_conformal(P: VAPresentation) -> Element:
@@ -174,14 +174,14 @@ def _current_table(lie: LiePresentation, prefix: str, bracket_scale, level):
     return gens, table
 
 
-def affine(lie: LiePresentation, level, param="k") -> VAPresentation:
+def affine(lie: LiePresentation, level) -> VAPresentation:
     """V_level(g, B): one weight-1 generator per basis vector of g."""
     if isinstance(level, str):
-        level = parse_ratfunc(level, param)
+        level = parse_ratfunc(level)
     else:
         level = as_ratfunc(level)
     gens, table = _current_table(lie, "", RF_ONE, level)
-    P = VAPresentation(gens, table, param=param, name=f"V({lie.name};{level})")
+    P = VAPresentation(gens, table, name=f"V({lie.name};{level})")
     P.metadata["lie"] = lie
     P.metadata["level"] = level
     return P
@@ -333,12 +333,12 @@ class EmbeddingImage:
         return self.level
 
 
-def tau_embedding(n: int, param="k") -> EmbeddingImage:
+def tau_embedding(n: int) -> EmbeddingImage:
     """sp_2n into the beta-gamma system S(n) at level -1/2."""
     if n < 1 or n > 2:
         raise ConstructionError("tau_embedding implemented for n = 1, 2")
     lie = builtin_lie(f"sp{2*n}")
-    S = beta_gamma(n, param=param)
+    S = beta_gamma(n)
 
     def beta(i):
         return S.gen(i)
@@ -362,12 +362,12 @@ def tau_embedding(n: int, param="k") -> EmbeddingImage:
     return emb
 
 
-def sigma_embedding(m: int, param="k") -> EmbeddingImage:
+def sigma_embedding(m: int) -> EmbeddingImage:
     """so_m into the free fermion algebra F(m) at level 1."""
     if m < 1 or m > 3:
         raise ConstructionError("sigma_embedding implemented for m = 1, 2, 3")
     lie = builtin_lie(f"so{m}")
-    F = free_fermion(m, param=param)
+    F = free_fermion(m)
     images = []
     for name in lie.names:
         i, j = int(name[1]) - 1, int(name[2]) - 1

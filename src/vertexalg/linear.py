@@ -156,12 +156,15 @@ def basis_size(P: VAPresentation, w) -> int:
     The count is the coefficient of q^w in the product over the slots
     (generator, derivative order) of 1/(1 - q^s) for an even slot of weight s
     and 1 + q^s for an odd one; the slots of one weight and parity are taken
-    together.  Weights are counted in units of the lcm of their denominators.
+    together.  Weights are counted in units of the lcm of the generators'
+    weight denominators; a weight that is no multiple of that unit has none.
     """
     w = exact_scalar(w)
     if w < 0:
         raise LinearError("weight must be nonnegative")
-    unit = lcm(w.denominator, *(g.weight.denominator for g in P.generators))
+    unit = lcm(1, *(g.weight.denominator for g in P.generators))
+    if (w * unit).denominator != 1:
+        return 0
     top = int(w * unit)
     slots = Counter()
     for g in P.generators:

@@ -189,8 +189,8 @@ def test_tensor_with_trivial_identity():
 
 
 def test_tensor_tag_mismatch():
-    P = heisenberg(1, param="k")
-    Q = heisenberg(1, param="kappa")
+    P = heisenberg(1)
+    Q = VAPresentation(P.generators, P.table, param="kappa")
     with pytest.raises(Exception, match="tag"):
         P.tensor(Q)
 

@@ -211,6 +211,10 @@ def test_huge_numbers_exit_quickly(capsys):
     (["normal-form", "--algebra", " * ".join(["betagamma:100"] * 17), "--expr=1"], 2),
     # 2015 columns; heisenberg:61 has 1952 and passes, in about 6 s
     (["commutant", "--algebra", "heisenberg:62", "--currents", "a1", "--weight", "2"], 2),
+    # no monomial has these weights, so the column count is 0 at once
+    (["commutant", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "11.9999999"], 0),
+    (["nongeneric", "--algebra", "heisenberg:1", "--currents", "a1",
+      "--weight", "1/1000000000"], 0),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)
