@@ -10,9 +10,11 @@ and den properties give the same value over Q with a monic denominator,
 the form that printing uses; the constructor RatFunc(num, den) is the one
 place that takes Fraction coefficients.
 
-Parsed polynomials are bounded: an exponent, and the degree of every
-product formed while parsing, is at most MAX_PARSED_DEGREE; over it the
-parser raises LimitExceeded.
+TokenReader is the package's one tokenizer and its coefficient grammar;
+parse_ratfunc and the element parser of vertexalg.expressions both read
+text with it.  Parsed polynomials are bounded: an exponent, and the degree
+of every product formed while parsing, is at most MAX_PARSED_DEGREE; over
+it the reader raises LimitExceeded.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ Poly = tuple
 
 PZERO: Poly = ()
 PONE: Poly = (Fraction(1),)
-PVAR: Poly = (Fraction(0), Fraction(1))
 
 
 def pnormalize(coeffs) -> Poly:
@@ -795,164 +796,182 @@ def format_ratfunc(f: RatFunc, var: str = "k") -> str:
     return f"{num}/({format_poly(f.den, var)})"
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>\^|\*|\+|-|/|\(|\)))"
+# One tokenizer for coefficients and elements: numbers, names (letters,
+# digits, "_" and primes "'") and the symbols of both grammars.
+TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[:()+\-*/^]))"
 )
 
 
-def _tokenize_poly(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise CoefficientError(f"bad polynomial syntax at {text[pos:]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            try:
-                out.append(("num", Fraction(m.group("num"))))
-            except ZeroDivisionError:
-                raise ZeroDenominator(f"zero denominator in {m.group('num')!r}") from None
-        elif m.group("name"):
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    return out
+class TokenReader:
+    """A token stream over text, and the coefficient grammar read from it
+    and evaluated directly in RatFunc (whitespace-insensitive; VAR is the
+    parameter name):
 
+        ratfunc := p ["/" "(" p ")"]
+        coeff   := "(" p ")" ["/" "(" p ")"] | INT ["/" INT]
+        p       := ["+" | "-"] pterm (("+" | "-") pterm)*
+        pterm   := pfactor ("*" pfactor | "/" INT)*
+        pfactor := "-" pfactor | (INT | VAR | "(" p ")") ["^" INT]
 
-class _PolyParser:
-    """Recursive-descent parser for polynomial expressions in one variable."""
+    Inside p a "/" divides by a number only; a "/" before "(" ends p and is
+    the fraction bar.  parse_ratfunc reads a ratfunc; the element parser of
+    vertexalg.expressions subclasses this reader and reads a coeff at the
+    start of a term.  Errors are made by error(), which a subclass overrides
+    with its own type; LimitExceeded is raised as it is.
+    """
 
-    def __init__(self, tokens, var):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text: str, var: str):
         self.var = var
+        self.pos = 0
+        self.toks = []
+        at = 0
+        while True:
+            m = TOKEN.match(text, at)
+            if m is None:
+                rest = text[at:].lstrip()
+                if rest:
+                    raise self.error(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+                break
+            self.toks.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            at = m.end()
+        self.toks.append(("end", "", len(text)))
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
+    def error(self, message: str, pos: int) -> Exception:
+        return CoefficientError(f"{message} (at position {pos})")
+
+    # -- the token stream ----------------------------------------------------
+
+    def peek(self, ahead: int = 0):
+        """A token (kind, text, position); the end token is last and is
+        never taken, so the current one and the one after a symbol exist."""
+        return self.toks[self.pos + ahead]
 
     def take(self):
         tok = self.peek()
-        self.pos += 1
+        if tok[0] != "end":
+            self.pos += 1
         return tok
 
-    def expr(self) -> Poly:
-        kind, val = self.peek()
-        neg = False
-        if (kind, val) == ("op", "-"):
-            self.take()
-            neg = True
-        elif (kind, val) == ("op", "+"):
-            self.take()
-        acc = self.term()
-        if neg:
-            acc = pneg(acc)
-        while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", "+"):
-                self.take()
-                acc = padd(acc, self.term())
-            elif (kind, val) == ("op", "-"):
-                self.take()
-                acc = padd(acc, pneg(self.term()))
-            else:
-                return acc
+    def at(self, sym: str) -> bool:
+        # no name or number is spelled like a symbol
+        return self.toks[self.pos][1] == sym
 
-    def term(self) -> Poly:
-        acc = self.factor()
+    def expect(self, sym: str):
+        tok = self.take()
+        if tok[1] != sym:
+            raise self.error(f"expected {sym!r}, got {tok[1]!r}", tok[2])
+        return tok
+
+    def integer(self) -> int:
+        tok = self.take()
+        if tok[0] != "int":
+            raise self.error(f"expected a number, got {tok[1]!r}", tok[2])
+        return int(tok[1])
+
+    def finish(self):
+        kind, val, start = self.peek()
+        if kind != "end":
+            raise self.error(f"trailing input {val!r}", start)
+
+    def sum_of(self, term):
+        """["+" | "-"] term (("+" | "-") term)*, with term() reading a term."""
+        negate = self.at("-")
+        if negate or self.at("+"):
+            self.take()
+        acc = -term() if negate else term()
+        while self.at("+") or self.at("-"):
+            if self.take()[1] == "+":
+                acc = acc + term()
+            else:
+                acc = acc - term()
+        return acc
+
+    # -- the coefficient grammar ---------------------------------------------
+
+    def ratfunc(self) -> RatFunc:
+        return self._over(self.polynomial())
+
+    def coefficient(self) -> RatFunc:
+        if self.peek()[0] == "int":
+            num = RatFunc.const(self.integer())
+            return num / self._divisor() if self.at("/") else num
+        self.expect("(")
+        num = self.polynomial()
+        self.expect(")")
+        return self._over(num)
+
+    def polynomial(self) -> RatFunc:
+        return self.sum_of(self._poly_term)
+
+    def _over(self, num: RatFunc) -> RatFunc:
+        """num, divided by a following "/" "(" p ")" if there is one."""
+        if not self.at("/"):
+            return num
+        self.take()
+        start = self.expect("(")[2]
+        den = self.polynomial()
+        self.expect(")")
+        if not den:
+            raise self.error("zero denominator", start)
+        return num / den
+
+    def _divisor(self) -> int:
+        """The nonzero number after a "/"."""
+        self.take()
+        start = self.peek()[2]
+        d = self.integer()
+        if not d:
+            raise self.error("zero denominator", start)
+        return d
+
+    def _poly_term(self) -> RatFunc:
+        acc = self._poly_factor()
         while True:
-            kind, val = self.peek()
-            if (kind, val) == ("op", "*"):
+            if self.at("*"):
                 self.take()
-                right = self.factor()
-                if pdeg(acc) + pdeg(right) > MAX_PARSED_DEGREE:
+                right = self._poly_factor()
+                if len(acc.znum) + len(right.znum) - 2 > MAX_PARSED_DEGREE:
                     raise LimitExceeded(
                         f"a product exceeds the degree limit {MAX_PARSED_DEGREE}"
                     )
-                acc = pmul(acc, right)
-            elif (kind, val) == ("op", "/"):
-                # division by a rational constant only
-                self.take()
-                kind2, val2 = self.take()
-                if kind2 != "num":
-                    raise CoefficientError("polynomial division only by numbers")
-                if not val2:
-                    raise ZeroDenominator("polynomial division by zero")
-                acc = tuple(c / val2 for c in acc)
+                acc = acc * right
+            elif self.at("/") and self.peek(1)[1] != "(":
+                acc = acc / self._divisor()
             else:
                 return acc
 
-    def factor(self) -> Poly:
-        kind, val = self.take()
-        if kind == "num":
-            base = pconst(val)
+    def _poly_factor(self) -> RatFunc:
+        kind, val, start = self.take()
+        if val == "-":
+            return -self._poly_factor()
+        if kind == "int":
+            base = RatFunc.const(int(val))
         elif kind == "name":
             if val != self.var:
-                raise CoefficientError(f"unknown symbol {val!r}; parameter is {self.var!r}")
-            base = PVAR
-        elif (kind, val) == ("op", "("):
-            base = self.expr()
-            kind2, val2 = self.take()
-            if (kind2, val2) != ("op", ")"):
-                raise CoefficientError("missing closing parenthesis")
-        elif (kind, val) == ("op", "-"):
-            return pneg(self.factor())
+                raise self.error(f"unknown symbol {val!r}; parameter is {self.var!r}", start)
+            base = RatFunc.param()
+        elif val == "(":
+            base = self.polynomial()
+            self.expect(")")
         else:
-            raise CoefficientError(f"unexpected token {val!r} in polynomial")
-        kind, val = self.peek()
-        if (kind, val) == ("op", "^"):
-            self.take()
-            kind2, val2 = self.take()
-            if kind2 != "num" or val2.denominator != 1:
-                raise CoefficientError("exponent must be a nonnegative integer")
-            if val2 > MAX_PARSED_DEGREE or pdeg(base) * val2 > MAX_PARSED_DEGREE:
-                raise LimitExceeded(
-                    f"exponent {val2} exceeds the degree limit {MAX_PARSED_DEGREE}"
-                )
-            out = PONE
-            for _ in range(int(val2)):
-                out = pmul(out, base)
-            return out
-        return base
-
-
-def parse_poly(text: str, var: str = "k") -> Poly:
-    parser = _PolyParser(_tokenize_poly(text), var)
-    p = parser.expr()
-    if parser.pos != len(parser.toks):
-        raise CoefficientError(f"trailing input in polynomial: {text!r}")
-    return p
+            raise self.error(f"unexpected token {val!r} in a coefficient", start)
+        if not self.at("^"):
+            return base
+        self.take()
+        n = self.integer()
+        if n > MAX_PARSED_DEGREE or (len(base.znum) - 1) * n > MAX_PARSED_DEGREE:
+            raise LimitExceeded(f"exponent {n} exceeds the degree limit {MAX_PARSED_DEGREE}")
+        out = RF_ONE
+        for _ in range(n):
+            out = out * base
+        return out
 
 
 def parse_ratfunc(text: str, var: str = "k") -> RatFunc:
-    """Parse "(p)" or "(p)/(q)"; also accepts bare polynomial expressions."""
-    text = text.strip()
-    split = _split_ratfunc(text)
-    if split is None:
-        return RatFunc(parse_poly(text, var))
-    num_text, den_text = split
-    den = parse_poly(den_text, var)
-    if not den:
-        raise ZeroDenominator(text)
-    return RatFunc(parse_poly(num_text, var), den)
-
-
-def _split_ratfunc(text: str):
-    """Split "(p)/(q)" at the top-level slash, or return None."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            left = text[:i].strip()
-            right = text[i + 1 :].strip()
-            # top-level slash between a ")" and "(" marks the fraction bar;
-            # otherwise it is a rational number like 3/2
-            if left.endswith(")") and right.startswith("("):
-                return left, right
-    return None
+    """Parse "(p)", "(p)/(q)" or a bare polynomial: the ratfunc rule of
+    TokenReader."""
+    reader = TokenReader(text, var)
+    out = reader.ratfunc()
+    reader.finish()
+    return out

@@ -11,7 +11,8 @@ A definition file is a single JSON document with optional sections:
     "elements": {"name": expression, ...}.
 
 Constructor specs name built-in families with parameters, e.g.
-"affine:sl2@k", "betagamma:1", "tau:1"; "A * B" builds tensor products.
+"affine:sl2@k", "betagamma:1", "tau:1"; "A * B" builds tensor products,
+split at each "*" outside parentheses, so "affine:sl2@(2*k)" is one factor.
 A spec has at most MAX_FACTORS factors (build time grows faster than
 quadratically with their number), a rank n is at most MAX_RANK, a Lie basis
 has at most MAX_LIE_DIM vectors (validation is cubic in it), and a level
@@ -102,9 +103,22 @@ CONSTRUCTOR_SPECS = (
 )
 
 
+def _tensor_factors(spec: str):
+    """The parts of a spec between the "*"s outside parentheses, so that a
+    level such as (2*k) stays whole."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "*" and depth == 0:
+            parts.append(spec[start:i])
+            start = i + 1
+    parts.append(spec[start:])
+    return [p.strip() for p in parts if p.strip()]
+
+
 def build_algebra(spec: str, lie_table=None) -> VAPresentation:
     """Build a presentation from a constructor spec string."""
-    parts = [p.strip() for p in spec.split("*") if p.strip()]
+    parts = _tensor_factors(spec)
     if not parts:
         raise DefinitionError("empty algebra spec")
     if len(parts) > MAX_FACTORS:

@@ -2,14 +2,15 @@
 
 Grammar (whitespace-insensitive):
 
-    element := term (("+" | "-") term)*
+    element := ["+" | "-"] term (("+" | "-") term)*
     term    := [coeff "*"] factor
-    factor  := NAME | "1" | "D^" INT "(" element ")"
+    factor  := NAME | "1" | "0" | "D^" INT "(" element ")"
              | ":" factor factor+ ":" | "(" element ")"
-    coeff   := rational function in parentheses, "(p)" or "(p)/(q)"
 
-A NAME is a letter or "_" followed by letters, digits, "_" and primes "'";
-a tensor product primes the names of its right factor that clash.
+coeff is the coefficient grammar of vertexalg.coefficients.TokenReader,
+which the parser here subclasses: one tokenizer reads both.  A NAME is a
+letter or "_" followed by letters, digits, "_" and primes "'"; a tensor
+product primes the names of its right factor that clash.
 
 ":a b c:" parses right-nested as :a (:b c:):.  Printing emits canonical
 sorted monomials in deterministic order and round-trips through the parser.
@@ -20,17 +21,7 @@ vertexalg.coefficients.
 
 from __future__ import annotations
 
-import re
-from fractions import Fraction
-
-from .coefficients import (
-    RF_ONE,
-    CoefficientError,
-    LimitExceeded,
-    RatFunc,
-    format_ratfunc,
-    parse_ratfunc,
-)
+from .coefficients import RF_ONE, TokenReader, format_ratfunc
 from .core import Element, VAError, VAPresentation
 
 MAX_DERIVATIVE_ORDER = 32
@@ -44,212 +35,122 @@ class ExprError(VAError):
         self.pos = pos
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-    r"|(?P<sym>[:()+\-*/^]))"
-)
+def _packrat(rule):
+    """rule, parsed once per token position: its result and end, or its
+    ExprError, are kept (packrat parsing), so a reading tried again after
+    another one failed costs no re-parse and the parse stays linear."""
+    def parse(self):
+        key = (rule, self.pos)
+        if key not in self.memo:
+            try:
+                self.memo[key] = (rule(self), self.pos, None)
+            except ExprError as exc:
+                self.memo[key] = (None, key[1], exc)
+        value, self.pos, exc = self.memo[key]
+        if exc is not None:
+            raise exc.with_traceback(None)
+        return value
+    return parse
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group("int"):
-            out.append(("int", m.group("int"), m.start("int"), m.end()))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), m.start("name"), m.end()))
-        else:
-            out.append(("sym", m.group("sym"), m.start("sym"), m.end()))
-        pos = m.end()
-    return out
+class _Parser(TokenReader):
+    """The element grammar; the rules that compete are packrat-parsed."""
 
-
-class _Parser:
     def __init__(self, pres: VAPresentation, text: str):
         self.pres = pres
-        self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
-        # the index of the ")" that closes each "(" that is closed
-        self.closing = {}
-        opened = []
-        for idx, tok in enumerate(self.toks):
-            if tok[:2] == ("sym", "("):
-                opened.append(idx)
-            elif tok[:2] == ("sym", ")") and opened:
-                self.closing[opened.pop()] = idx
+        self.memo = {}
+        super().__init__(text, pres.param)
 
-    def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos]
-        return ("end", "", len(self.text), len(self.text))
+    def error(self, message, pos):
+        return ExprError(message, pos)
 
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, value=None):
-        tok = self.take()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ExprError(f"expected {value or kind}, got {tok[1]!r}", tok[2])
-        return tok
+    polynomial = _packrat(TokenReader.polynomial)
 
     # -- grammar ------------------------------------------------------------
 
     def element(self) -> Element:
-        kind, val, *_ = self.peek()
-        negate = False
-        if (kind, val) == ("sym", "-"):
-            self.take()
-            negate = True
-        elif (kind, val) == ("sym", "+"):
-            self.take()
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, *_ = self.peek()
-            if (kind, val) == ("sym", "+"):
-                self.take()
-                acc = acc + self.term()
-            elif (kind, val) == ("sym", "-"):
-                self.take()
-                acc = acc - self.term()
-            else:
-                return acc
+        return self.sum_of(self.term)
 
     def term(self) -> Element:
-        coeff = self._try_coeff()
-        factor = self.factor()
-        if coeff is not None:
-            return factor * coeff
-        return factor
+        """A coeff "*" where one parses, else a factor.  A malformed
+        coefficient is reported when its reading got farther than the
+        factor reading of the same tokens, which then failed or stopped."""
+        start, failure = self.pos, None
+        if self.at("(") or self.peek()[0] == "int":
+            try:
+                coeff = self.coefficient()
+                self.expect("*")
+            except ExprError as exc:
+                failure = exc
+            else:
+                return self.factor() * coeff
+            self.pos = start
+        try:
+            out = self.factor()
+        except ExprError as exc:
+            if failure is None or failure.pos <= exc.pos:
+                raise
+            raise failure from None
+        if failure is not None and failure.pos > self.peek()[2]:
+            raise failure
+        return out
 
-    def _try_coeff(self):
-        """A coefficient is a parenthesized rational function followed by '*'."""
-        kind, val, start, _ = self.peek()
-        if (kind, val) == ("sym", "("):
-            end = self._match_paren(self.pos)
-            after = end + 1
-            # optional "/(...)" continuation
-            if (
-                after < len(self.toks)
-                and self.toks[after][:2] == ("sym", "/")
-                and after + 1 < len(self.toks)
-                and self.toks[after + 1][:2] == ("sym", "(")
-            ):
-                after = self._match_paren(after + 1) + 1
-            if after < len(self.toks) and self.toks[after][:2] == ("sym", "*"):
-                text = self.text[start : self.toks[after - 1][3]]
-                try:
-                    coeff = parse_ratfunc(text, self.pres.param)
-                except LimitExceeded:
-                    raise
-                except CoefficientError:
-                    return None
-                self.pos = after + 1
-                return coeff
-            return None
-        if kind == "int":
-            # bare integer or fraction coefficient followed by '*'
-            save = self.pos
-            self.take()
-            num = Fraction(int(val))
-            if self.peek()[:2] == ("sym", "/"):
-                self.take()
-                den_tok = self.take()
-                if den_tok[0] != "int":
-                    self.pos = save
-                    return None
-                if not int(den_tok[1]):
-                    raise ExprError("zero denominator", den_tok[2])
-                num = num / int(den_tok[1])
-            if self.peek()[:2] == ("sym", "*"):
-                self.take()
-                return RatFunc.const(num)
-            self.pos = save
-            return None
-        return None
-
-    def _match_paren(self, open_idx: int) -> int:
-        if open_idx not in self.closing:
-            raise ExprError("unbalanced parentheses", self.toks[open_idx][2])
-        return self.closing[open_idx]
-
+    @_packrat
     def factor(self) -> Element:
-        kind, val, start, _ = self.take()
+        kind, val, start = self.take()
         if kind == "int":
             if val == "1":
                 return self.pres.vacuum()
             if val == "0":
                 return self.pres.zero()
-            raise ExprError(f"unexpected number {val!r} as factor", start)
+            raise self.error(f"unexpected number {val!r} as factor", start)
         if kind == "name":
-            if val == "D" and self.peek()[:2] == ("sym", "^"):
+            if val == "D" and self.at("^"):
                 self.take()
-                order_tok = self.expect("int")
-                order = int(order_tok[1])
+                at = self.peek()[2]
+                order = self.integer()
                 if order > MAX_DERIVATIVE_ORDER:
-                    raise ExprError(
+                    raise self.error(
                         f"derivative order {order} exceeds the limit "
-                        f"{MAX_DERIVATIVE_ORDER}", order_tok[2],
+                        f"{MAX_DERIVATIVE_ORDER}", at,
                     )
-                self.expect("sym", "(")
+                self.expect("(")
                 inner = self.element()
-                self.expect("sym", ")")
+                self.expect(")")
                 return inner.deriv(order)
             if val not in self.pres.by_name:
-                raise ExprError(f"unknown generator {val!r}", start)
+                raise self.error(f"unknown generator {val!r}", start)
             return self.pres.gen(val)
-        if (kind, val) == ("sym", "("):
+        if val == "(":
             inner = self.element()
-            self.expect("sym", ")")
+            self.expect(")")
             return inner
-        if (kind, val) == ("sym", ":"):
+        if val == ":":
             factors = [self.factor()]
             while True:
-                nxt = self.peek()
-                if nxt[0] == "end":
-                    raise ExprError("unterminated normal-ordered product", start)
-                if nxt[:2] == ("sym", ":"):
-                    # a colon may open a nested product or close this one;
-                    # try the nested reading first and backtrack on failure
-                    if len(factors) >= 2:
-                        save = self.pos
-                        try:
-                            factors.append(self.factor())
-                            continue
-                        except ExprError:
-                            self.pos = save
+                if self.peek()[0] == "end":
+                    raise self.error("unterminated normal-ordered product", start)
+                if self.at(":") and len(factors) >= 2:
+                    # a colon opens a nested product where one parses and
+                    # otherwise closes this one
+                    try:
+                        factors.append(self.factor())
+                    except ExprError:
                         self.take()
                         break
-                    # fewer than two factors: the colon must open a nested one
+                else:
                     factors.append(self.factor())
-                    continue
-                factors.append(self.factor())
-            if len(factors) < 2:
-                raise ExprError("normal ordering needs at least two factors", start)
             acc = factors[-1]
             for f in reversed(factors[:-1]):
                 acc = f.no(acc)
             return acc
-        raise ExprError(f"unexpected token {val!r}", start)
+        raise self.error(f"unexpected token {val!r}", start)
 
 
 def parse_element(pres: VAPresentation, text: str) -> Element:
-    if text.strip() == "0":
-        return pres.zero()
     parser = _Parser(pres, text)
     out = parser.element()
-    if parser.pos != len(parser.toks):
-        tok = parser.peek()
-        raise ExprError(f"trailing input {tok[1]!r}", tok[2])
+    parser.finish()
     return out
 
 

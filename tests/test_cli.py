@@ -42,6 +42,16 @@ def test_build_algebra_spec():
     assert P.ngen == 2
 
 
+def test_spec_splits_only_at_top_level_stars(capsys):
+    # the "*" of a level in parentheses does not start a tensor factor
+    code = main(["bracket", "--algebra", "affine:sl2@(2*k)", "--left", "Xp", "--right", "Xm"])
+    assert code == 0 and "(2*k)*1" in capsys.readouterr().out
+    P = build_algebra("affine:sl2@(2*k) * bc:1")
+    left, right, _ = P.metadata["tensor_factors"]
+    assert (left.ngen, right.ngen) == (3, 2)
+    assert str(left.metadata["level"]) == "(2*k)"
+
+
 def test_primed_tensor_names_are_accepted_as_input(capsys):
     args = ["--algebra", "heisenberg:1*heisenberg:1", "--currents", "a1'", "--weight", "1"]
     assert main(["commutant", *args]) == 0

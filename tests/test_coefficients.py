@@ -17,7 +17,6 @@ from vertexalg.coefficients import (
     ZeroDenominator,
     format_ratfunc,
     padd,
-    parse_poly,
     parse_ratfunc,
     pgcd,
     pmul,
@@ -33,6 +32,11 @@ K = RatFunc.param()
 
 def rf(text):
     return parse_ratfunc(text)
+
+
+def parse_poly(text):
+    """A polynomial's Fraction coefficients, low degree first."""
+    return parse_ratfunc(text).num
 
 
 def test_lambda2_literal():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexalg.coefficients import RatFunc
+from vertexalg.coefficients import LimitExceeded, RatFunc
 from vertexalg.constructions import affine, bc_system, heisenberg, n2_coset_generators
 from vertexalg.expressions import ExprError, format_element, parse_element
 from vertexalg.lie import builtin_lie
@@ -69,6 +69,28 @@ def test_unknown_generator_reports_position():
     with pytest.raises(ExprError) as err:
         parse_element(P, "a1 + nope")
     assert err.value.pos == 5
+
+
+def test_malformed_coefficient_reports_itself():
+    # a coefficient is read from the element's own tokens, so its error is
+    # the coefficient's, at its position, not "unknown generator 'k'"
+    P = heisenberg(1)
+    with pytest.raises(ExprError) as err:
+        parse_element(P, "(k+)*a1")
+    assert err.value.pos == 3 and "unknown generator" not in str(err.value)
+    with pytest.raises(ExprError) as err:
+        parse_element(P, "(1)/(0)*a1")
+    assert "zero denominator" in str(err.value)
+    with pytest.raises(LimitExceeded, match="limit"):
+        parse_element(P, "(k^201)*a1")
+
+
+def test_coefficient_grammar_is_whitespace_insensitive():
+    P = heisenberg(1)
+    want = P.gen("a1") * (K * K / 3)
+    assert parse_element(P, "(k^2/3)*a1") == parse_element(P, "(k^2 / 3)*a1") == want
+    assert parse_element(P, "(k/2/3)*a1") == P.gen("a1") * (K / 6)
+    assert parse_element(P, "1/2*a1") == parse_element(P, "(1)/(2)*a1")
 
 
 def test_unbalanced_colon():

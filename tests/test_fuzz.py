@@ -239,6 +239,16 @@ def test_huge_numbers_in_definition_files(tmp_path, capsys):
         assert "limit" in capsys.readouterr().err
 
 
+def test_colon_choice_is_linear_time():
+    # a colon after two factors opens a nested product where one parses and
+    # otherwise closes the current one; re-parsing the nested reading at
+    # every colon doubled the work every two colons (11.7 s here), keeping
+    # each reading's result per position makes it linear
+    text = ":a1 " + "a1 :a1 " * 40 + "nope"
+    code, seconds = _timed_main(["normal-form", "--algebra", "heisenberg:1", "--expr", text])
+    assert code == 2 and seconds < 1
+
+
 def test_deeply_nested_input_exits_cleanly(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)

@@ -261,3 +261,15 @@ def test_rank_mod_p_stays_independent_of_the_elimination_over_zk():
                 named.update(names)
                 todo += [n for n in names if n in functions]
     assert not named & forbidden, sorted(named & forbidden)
+
+
+def test_one_tokenizer_for_coefficients_and_elements():
+    # coefficients and elements are read by one tokenizer and one grammar;
+    # a second regular expression here would be a second parser
+    trees = _trees()
+    compiles = [node for name in ("coefficients.py", "expressions.py")
+                for node in ast.walk(trees[name])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"]
+    assert len(compiles) == 1
