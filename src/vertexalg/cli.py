@@ -6,10 +6,13 @@ Exit codes: 0 all checks pass, 1 a check or computation reports failure,
 The cost of a solve grows steeply with its weight and its basis, so the
 weight of commutant and nongeneric (--weight) and of the find-relation
 target is at most MAX_SOLVE_WEIGHT, and the weight basis of a commutant or
-nongeneric solve, its columns, has at most MAX_SOLVE_COLUMNS monomials,
-counted without enumerating them; over either limit the command exits 2
-with a message.  Since a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct
-is at least -(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
+nongeneric solve has at most MAX_SOLVE_COLUMNS monomials, counted without
+enumerating them; over either limit the command exits 2 with a message.
+The solve runs on the charge-0 sub-basis of the currents that act
+diagonally (linear.commutant_basis), but the whole weight basis is
+enumerated first, so the limit counts all of it.  Since a_(-k-1) b =
+:(D^k a / k!) b:, the --n of nproduct is at least
+-(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
 A constructor spec has at most deffiles.MAX_FACTORS tensor factors, and
 input nested too deeply for the parsers exits 2 as well.
 """
@@ -38,7 +41,8 @@ from .suites import SUITES, run_suite
 
 # largest weight of a commutant, nongeneric or find-relation solve
 MAX_SOLVE_WEIGHT = 12
-# largest weight basis of a commutant or nongeneric solve
+# largest weight basis of a commutant or nongeneric solve, before the
+# charge-0 filter
 MAX_SOLVE_COLUMNS = 2000
 
 

@@ -329,8 +329,10 @@ def rank_mod_p(rows, ncols, k0):
     x = a/b mod p.  Returns None when b or some D(k0) is 0 mod p.
     Otherwise a minor that is nonzero mod p is nonzero over Q, so the
     result is at most the rank over Q of the rows at k0.  Like qsolve it
-    shares no code with the elimination over Z[k]; each column's pivot is
-    the first remaining row with an entry there.
+    shares no code with the elimination over Z[k].  Each column's pivot is
+    the sparsest remaining row with an entry there, ties going to the
+    first one (Markowitz 1957): the rank does not depend on the pivot, and
+    the sparsest row spreads the least fill-in into the others.
     """
     p = RANK_PRIME
     k0 = Fraction(k0)
@@ -368,7 +370,7 @@ def rank_mod_p(rows, ncols, k0):
         hits = rows_at.pop(col, None)
         if not hits:
             continue
-        pivot = min(hits)
+        pivot = min(hits, key=lambda i: (len(active[i]), i))
         hits.remove(pivot)
         prow = active[pivot]
         pinv = pow(prow.pop(col), -1, p)

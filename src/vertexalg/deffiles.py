@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 
-from .coefficients import parse_ratfunc
+from .coefficients import CoefficientError, parse_ratfunc
 from .constructions import (
     affine,
     bc_system,
@@ -204,5 +204,13 @@ def load_definition(path_or_doc) -> Definition:
         texts = doc.get(field, {})
         if not (isinstance(texts, dict) and all(isinstance(t, str) for t in texts.values())):
             raise DefinitionError(f'"{field}" must be an object of expression strings')
-        named.append({name: parse_element(algebra, t) for name, t in texts.items()})
+        named.append({name: _parse_entry(algebra, field, name, t) for name, t in texts.items()})
     return Definition(algebra, *named)
+
+
+def _parse_entry(algebra, field, name, text):
+    """One "currents" or "elements" expression; an error names its entry."""
+    try:
+        return parse_element(algebra, text)
+    except (VAError, CoefficientError) as exc:
+        raise DefinitionError(f'"{field}" entry {json.dumps(name)}: {exc}') from exc

@@ -39,7 +39,9 @@ nonnegative modes must kill the element) or a pair (current, derivation)
 where the derivation is an outer even derivation given on generators; the
 combined zero mode is current_(0) + derivation, and higher modes come from
 the current alone.  The second form realizes diagonal group actions whose
-restriction to a free tensor factor is not inner.
+restriction to a free tensor factor is not inner.  Unless it is given a
+basis, commutant_basis solves on the joint charge-0 monomials of the
+currents that act diagonally; the kernel is the same at every level.
 
 Commutant rows come from a generating set of the current modes, not from
 every mode.  For m, n >= 0, [J_a(m), J_b(n)] = (J_a(0) J_b)(m + n): the
@@ -592,13 +594,43 @@ def _current_brackets(P: VAPresentation, currents):
 
 
 def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
+    """The commutant at weight w over Q(k), solved on the given basis.
+
+    Without a basis the solve runs on the joint charge-0 sub-basis of the
+    weight-w space under the actions whose current acts diagonally
+    (_torus_currents), or on the whole weight basis when there is none.
+    That loses no kernel element at any level: the zero mode of such a
+    current writes the one-entry row charge(T) * v_T for each monomial T of
+    nonzero charge, so every kernel vector of the full system vanishes
+    there, and the rank of those rows does not depend on k.  The kernel,
+    the kernel dimension at every level and the kernel vectors of the
+    back-substitution are those of the full weight basis.
+    """
     w = exact_scalar(w)
     if basis is None:
         basis = weight_basis(P, w)
+        currents = _torus_currents(P, actions)
+        if currents:
+            basis = charge_filter(basis, currents)
     system = commutant_system(P, actions, w, basis)
     rank, pivots, pivot_rows = system.eliminate()
     kernel = system.kernel(pivot_rows)
     return SolveReport(P, w, basis, rank, pivots, kernel, system)
+
+
+def _torus_currents(P: VAPresentation, actions):
+    """The currents of the actions without a derivation that have weight
+    one, act diagonally on the generators and have constant charges."""
+    out = []
+    for current, derivation in _normalize_actions(actions):
+        if current is None or derivation is not None:
+            continue
+        try:
+            _diagonal_charges(P, current)
+        except NotTorusDiagonal:
+            continue
+        out.append(current)
+    return out
 
 
 def verify_commutant(P: VAPresentation, v: Element, actions) -> bool:
@@ -931,7 +963,10 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
 
     charge_currents, when given, restricts the solve to the joint charge-0
     eigenspace of their zero modes; kernel elements always lie there, so
-    this only shrinks the system.
+    this only shrinks the system.  Without it commutant_basis restricts
+    the solve to that of the diagonal currents among the actions, which
+    for the osp(1|2)/sp2 coset is the same basis as charge_currents=[H];
+    the osp-coset suite and the coset-decoupling bench pass it all the same.
     """
     w = exact_scalar(w)
     basis = None

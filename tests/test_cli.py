@@ -112,6 +112,15 @@ def test_cli_commutant(def_file, capsys):
     assert ":b c:" in out
 
 
+def test_cli_commutant_solves_on_the_charge0_basis(capsys):
+    # H1 and H2 act diagonally, so the solve runs on the 24 monomials of
+    # charge 0 among the 192 of weight 3
+    code = main(["commutant", "--algebra", "affine:sl3@k", "--currents", "H1,H2",
+                 "--weight", "3"])
+    assert code == 0
+    assert "weight 3: basis 24, generic kernel dimension 8" in capsys.readouterr().out
+
+
 def test_cli_find_relation(capsys):
     code = main([
         "find-relation", "--algebra", "heisenberg:1",
@@ -224,3 +233,16 @@ def test_cli_lie_basis_limit(tmp_path, capsys):
     assert main(["define", "--file", str(path)]) == 2
     err = capsys.readouterr().err
     assert '"basis"' in err and str(MAX_LIE_DIM) in err
+
+
+@pytest.mark.parametrize("field, name, text, message", [
+    ("currents", "J", "H - :b q:", '"currents" entry "J": unknown generator \'q\' (at position 7)'),
+    ("elements", "Gm", ":Xm q:", '"elements" entry "Gm": unknown generator \'q\' (at position 4)'),
+    ("elements", "Gp", "(k+)*Xp", '"elements" entry "Gp": unexpected token'),
+])
+def test_cli_bad_expression_names_its_entry(tmp_path, capsys, field, name, text, message):
+    doc = {**DEFINITION, field: {**DEFINITION[field], name: text}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["define", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message)

@@ -509,3 +509,16 @@ def test_rank_mod_p_planted_systems(seed):
     before = copy.deepcopy(scaled)
     assert rank_mod_p(scaled, ncols, Fraction(1, 2)) == _dense_rank(rows, ncols)
     assert scaled == before
+
+
+def test_rank_mod_p_pivots_on_the_sparsest_row():
+    # column 0 has entries in rows 0, 1 and 2: the first row with one is the
+    # dense row 0, the sparsest is row 2, and after it the sparsest with an
+    # entry in column 1 is row 1, not row 0; rows 3 and 5 are combinations
+    # of rows 0, 1 and 2
+    ints = [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 2, 1: 1, 3: 1}, {0: 3}, {1: 1, 2: 1, 3: 1},
+            {1: 2, 2: 3, 3: 4}, {1: 1, 3: 1}]
+    hits = [i for i, row in enumerate(ints) if 0 in row]
+    assert min(hits) != min(hits, key=lambda i: len(ints[i]))
+    rows = [{c: RatFunc.const(v) * (K + RF_ONE) for c, v in row.items()} for row in ints]
+    assert rank_mod_p(rows, 4, 3) == qsolve(ints, 4)[0] == 4

@@ -8,8 +8,9 @@ in the module that makes it (names listed in __all__ count as used).  No
 module imports a private name from another one or reads a private attribute
 that another module defines.  No private function only forwards to a method.
 The Fock oracle shares no product logic with the engine it checks,
-verify_commutant none of the mode selection of the rows it re-checks, and
-the rank mod p none of the elimination over Z[k] whose rank it certifies.
+verify_commutant none of the mode or monomial selection of the rows it
+re-checks, and the rank mod p none of the elimination over Z[k] whose rank
+it certifies.
 """
 
 import ast
@@ -222,11 +223,14 @@ def test_fock_oracle_stays_independent_of_the_engine():
 
 def test_verify_commutant_stays_independent_of_the_mode_selection():
     # commutant_system writes rows for a generating set of the current
-    # modes; verify_commutant re-checks every mode of every current, so
-    # nothing it calls in linear.py may reach the code that picks that set
+    # modes, and commutant_basis solves on the charge-0 monomials of the
+    # diagonal currents; verify_commutant re-checks every mode of every
+    # current on every monomial of the element, so nothing it calls in
+    # linear.py may reach the code that picks those modes or monomials
     functions = {node.name: node for node in _trees()["linear.py"].body
                  if isinstance(node, ast.FunctionDef)}
-    selection = {"_generating_modes", "_current_brackets"}
+    selection = {"_generating_modes", "_current_brackets", "charge_filter",
+                 "_diagonal_charges", "_torus_currents"}
     assert selection <= set(functions)
     reached, todo = set(), ["verify_commutant", "_action_image"]
     while todo:

@@ -878,3 +878,61 @@ def test_zero_mode_rows_alone_miss_the_commutant():
                 if not verify_commutant(P, v, currents)]
     assert rejected
     assert commutant_basis(P, currents, 2).kernel_dim < zero_modes.kernel_dim
+
+
+# ---------------------------------------------------------------------------
+# Commutant solves on the charge-0 sub-basis
+
+
+def _currents(algebra, names):
+    """The algebra, its currents and the diagonal ones among them: the
+    Cartan currents of an affine algebra, or J = H - :b c: on sl2 (x) bc."""
+    if algebra == "sl2*bc":
+        P = affine(builtin_lie("sl2"), K).tensor(bc_system(1))
+        J = P.gen("H") - P.gen("b").no(P.gen("c"))
+        return P, [J], [J]
+    P = affine(builtin_lie(algebra), K)
+    names = names.split(",")
+    return (P, [P.gen(name) for name in names],
+            [P.gen(name) for name in names if name.startswith("H")])
+
+
+@pytest.mark.parametrize("algebra, names, weight, columns", [
+    ("sl2", "H", 2, (9, 3)),
+    ("sl2", "H", 3, (22, 6)),
+    ("sl2", "H", 4, (51, 13)),
+    ("sl3", "H1,H2", 3, (192, 24)),
+    ("osp(1|2)", "H,Xp,Xm", 4, (149, 23)),
+    ("sl2*bc", "H - :b c:", 2, (16, 6)),
+])
+def test_default_solve_is_the_full_basis_solve(algebra, names, weight, columns):
+    # a diagonal zero mode forces every coordinate of nonzero charge to 0,
+    # so the charge-0 solve has the kernel, the kernel vectors and the jump
+    # levels of the solve on the whole weight basis
+    P, currents, diagonal = _currents(algebra, names)
+    full_basis = weight_basis(P, weight)
+    full = commutant_basis(P, currents, weight, basis=full_basis)
+    default = commutant_basis(P, currents, weight)
+    assert default.basis.monomials == charge_filter(full_basis, diagonal).monomials
+    assert (len(full.basis), len(default.basis)) == columns
+    assert default.kernel_elements() == full.kernel_elements()
+    ng_full, ng_default = nongeneric_levels(full), nongeneric_levels(default)
+    assert ng_default.serialize() == ng_full.serialize()
+    for k0 in set(ng_full.certified) | {Fraction(1), Fraction(7, 3)}:
+        assert default.kernel_dim_at(k0) == full.kernel_dim_at(k0), k0
+
+
+def _xp_alone():
+    P = affine(builtin_lie("sl2"), K)
+    return P, [P.gen("Xp")], 2
+
+
+@pytest.mark.parametrize("case, kernel_dim", [(_xp_alone, 2), (_outer_derivation, 1)])
+def test_default_solve_keeps_the_full_basis_without_a_diagonal_current(case, kernel_dim):
+    # Xp does not act diagonally, and the zero mode of an action with an
+    # outer derivation is current(0) + derivation, not current(0): neither
+    # gives a charge to filter by
+    P, actions, weight = case()
+    report = commutant_basis(P, actions, weight)
+    assert len(report.basis) == basis_size(P, weight)
+    assert report.kernel_dim == kernel_dim
