@@ -19,9 +19,15 @@ Sorted monomials form a PBW-type basis, so reduced forms are unique and
 equality is structural.
 
 Every product of two monomials is computed once, in the memo of
-VAPresentation._prod.  Derivatives live there too: the divided power
-D^k M / k! is the entry M_(-k-1) 1, built from the entry for k - 1, so
-`derivative`, `Element.deriv` and the products a_(-k-1) b all read it.
+VAPresentation._prod.  Its entries are frozen: a tuple of (monomial,
+coefficient) pairs with no zero coefficient, the empty tuple () for a zero
+product, and every coefficient interned in a pool that the presentation
+owns (one RatFunc object per distinct value; RatFunc is immutable, with
+structural equality and hashing).  The linear-extension helpers read such
+pairs, so a caller holding a dict passes its .items().  Derivatives live
+there too: the divided power D^k M / k! is the entry M_(-k-1) 1, built from
+the entry for k - 1, so `derivative`, `Element.deriv` and the products
+a_(-k-1) b all read it.
 `check()` computes each lambda-bracket of two generators once and reads it
 for both skew-symmetry and Jacobi.  It first checks that the table is
 graded: the entry c_n of [a_lambda b] is homogeneous of weight
@@ -91,6 +97,7 @@ class VAPresentation:
             if cs:
                 self.table[key] = cs
         self._memo = {}
+        self._coeffs = {}
         self.metadata = {}
 
     # -- basic data ----------------------------------------------------------
@@ -145,12 +152,14 @@ class VAPresentation:
 
     # -- core monomial products ------------------------------------------------
 
-    def _prod(self, M, N, n) -> dict:
+    def _prod(self, M, N, n) -> tuple:
         key = (M, N, n)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        out = self._prod_raw(M, N, n)
+        pool = self._coeffs
+        out = tuple([(R, pool.setdefault(c, c))
+                     for R, c in self._prod_raw(M, N, n).items() if c])
         self._memo[key] = out
         return out
 
@@ -170,11 +179,11 @@ class VAPresentation:
             for i in range(j, k):
                 prev = self._prod(M, (), -i - 1)
             out = {}
-            for R, c in prev.items():
+            for R, c in prev:
                 for slot in range(len(R)):
                     raised = R[:slot] + ((R[slot][0], R[slot][1] + 1),) + R[slot + 1 :]
-                    _add_data(out, self.canon_factors(raised), c)
-            return _scaled(out, RatFunc.const(Fraction(1, k)))
+                    _add_data(out, self.canon_factors(raised).items(), c)
+            return _scaled(out.items(), RatFunc.const(Fraction(1, k)))
         if self.mono_weight(M) + self.mono_weight(N) - n - 1 < 0:
             return {}
         if n <= -2:
@@ -204,27 +213,27 @@ class VAPresentation:
                 out = self._nprod_data_mono(self._prod(M, base, n), (), -2)
                 if n:
                     _add_data(out, self._prod(M, base, n - 1), RatFunc.const(n))
-                return _clean(out)
+                return out
             cs = self.table.get((g, h))
             if cs is None or n >= len(cs):
                 return {}
-            return dict(cs[n])
+            return cs[n]
         b = N[:1]
         rest = N[1:]
         sign = -1 if (self.gen_parity(g) and self.mono_parity(b)) else 1
         out = {}
         ab = self._prod(M, b, n)
         if ab:
-            _add_data(out, self._nprod_data_mono(ab, rest, -1), RF_ONE)
+            _add_data(out, self._nprod_data_mono(ab, rest, -1).items(), RF_ONE)
         arest = self._prod(M, rest, n)
         if arest:
-            _add_data(out, self._nprod_mono_data(b, arest, -1), RatFunc.const(sign))
+            _add_data(out, self._nprod_mono_data(b, arest, -1).items(), RatFunc.const(sign))
         for m in range(n):
             amb = self._prod(M, b, m)
             if amb:
                 corr = self._nprod_data_mono(amb, rest, n - 1 - m)
-                _add_data(out, corr, RatFunc.const(comb(n, m)))
-        return _clean(out)
+                _add_data(out, corr.items(), RatFunc.const(comb(n, m)))
+        return out
 
     def _prod_iterate(self, M, N, n) -> dict:
         """(a_(-1) rest)_(n) N by the iterate expansion; any n."""
@@ -237,17 +246,17 @@ class VAPresentation:
         while wt_restN - (n + j) - 1 >= 0:
             inner = self._prod(rest, N, n + j)
             if inner:
-                _add_data(out, self._nprod_mono_data(a, inner, -1 - j), RF_ONE)
+                _add_data(out, self._nprod_mono_data(a, inner, -1 - j).items(), RF_ONE)
             j += 1
         wt_aN = self.mono_weight(a) + self.mono_weight(N)
         j = 0
         while wt_aN - j - 1 >= 0:
             inner = self._prod(a, N, j)
             if inner:
-                _add_data(out, self._nprod_mono_data(rest, inner, n - 1 - j),
+                _add_data(out, self._nprod_mono_data(rest, inner, n - 1 - j).items(),
                           RatFunc.const(sign))
             j += 1
-        return _clean(out)
+        return out
 
     def _insert(self, a, N) -> dict:
         """a_(-1) N for a single factor a and a canonical monomial N."""
@@ -264,28 +273,29 @@ class VAPresentation:
             sign = -1 if (self.gen_parity(a[0]) and self.gen_parity(b[0])) else 1
             swapped = self._prod((a,), rest, -1)
             if swapped:
-                _add_data(out, self._nprod_mono_data((b,), swapped, -1), RatFunc.const(sign))
+                _add_data(out, self._nprod_mono_data((b,), swapped, -1).items(),
+                          RatFunc.const(sign))
         wt_ab = self.gen_weight(a[0]) + a[1] + self.gen_weight(b[0]) + b[1]
         i = 0
         while wt_ab - i - 1 >= 0:
             bra = self._prod((a,), (b,), i)
             if bra:
                 corr = self._nprod_data_mono(bra, rest, -2 - i)
-                _add_data(out, corr, RatFunc.const(scale if i % 2 == 0 else -scale))
+                _add_data(out, corr.items(), RatFunc.const(scale if i % 2 == 0 else -scale))
             i += 1
-        return _clean(out)
+        return out
 
     # -- linear extensions ------------------------------------------------------
 
-    def _nprod_mono_data(self, M, data, n) -> dict:
+    def _nprod_mono_data(self, M, pairs, n) -> dict:
         out = {}
-        for N, c in data.items():
+        for N, c in pairs:
             _add_data(out, self._prod(M, N, n), c)
         return _clean(out)
 
-    def _nprod_data_mono(self, data, N, n) -> dict:
+    def _nprod_data_mono(self, pairs, N, n) -> dict:
         out = {}
-        for M, c in data.items():
+        for M, c in pairs:
             _add_data(out, self._prod(M, N, n), c)
         return _clean(out)
 
@@ -297,7 +307,7 @@ class VAPresentation:
             return {tuple(factors): RF_ONE}
         data = {(): RF_ONE}
         for f in reversed(factors):
-            data = self._nprod_mono_data((f,), data, -1)
+            data = self._nprod_mono_data((f,), data.items(), -1)
         return data
 
     def nprod(self, x: "Element", y: "Element", n: int) -> "Element":
@@ -406,8 +416,8 @@ class VAPresentation:
             diff = dict(ba[n]) if n < len(ba) else {}
             for j in range(len(ab) - n):
                 if ab[n + j]:
-                    _add_data(diff, self._nprod_data_mono(ab[n + j], (), -j - 1),
-                              RatFunc.const((-1) ** (n + j) * sign))
+                    dj = self._nprod_data_mono(ab[n + j].items(), (), -j - 1)
+                    _add_data(diff, dj.items(), RatFunc.const((-1) ** (n + j) * sign))
             if _clean(diff):
                 return False
         return True
@@ -428,15 +438,16 @@ class VAPresentation:
             for n in range(top + 1 - m):
                 diff = {}
                 if n < len(bc) and bc[n]:
-                    _add_data(diff, self._nprod_mono_data(a, bc[n], m), RF_ONE)
+                    _add_data(diff, self._nprod_mono_data(a, bc[n].items(), m).items(), RF_ONE)
                 if m < len(ac) and ac[m]:
-                    _add_data(diff, self._nprod_mono_data(b, ac[m], n), minus_sign)
+                    _add_data(diff, self._nprod_mono_data(b, ac[m].items(), n).items(),
+                              minus_sign)
                 for l in range(min(m + 1, len(ab))):
                     if not ab[l]:
                         continue
                     if (l, m + n - l) not in abc:
-                        abc[l, m + n - l] = self._nprod_data_mono(ab[l], c, m + n - l)
-                    _add_data(diff, abc[l, m + n - l], RatFunc.const(-comb(m, l)))
+                        abc[l, m + n - l] = self._nprod_data_mono(ab[l].items(), c, m + n - l)
+                    _add_data(diff, abc[l, m + n - l].items(), RatFunc.const(-comb(m, l)))
                 if _clean(diff):
                     return (m, n)
         return None
@@ -498,24 +509,27 @@ def _is_canonical(factors, pres) -> bool:
     return True
 
 
-def _add_data(acc: dict, data: dict, scale: RatFunc):
+def _add_data(acc: dict, pairs, scale: RatFunc):
+    """acc += scale * pairs, for (monomial, coefficient) pairs; sums that
+    cancel stay in acc as zeros."""
     if not scale:
         return
     if scale == RF_ONE:
-        for M, c in data.items():
+        for M, c in pairs:
             prev = acc.get(M)
             acc[M] = c if prev is None else prev + c
         return
-    for M, c in data.items():
+    for M, c in pairs:
         term = c * scale
         prev = acc.get(M)
         acc[M] = term if prev is None else prev + term
 
 
-def _scaled(data: dict, scale: RatFunc) -> dict:
+def _scaled(pairs, scale: RatFunc) -> dict:
+    """scale * pairs; a coefficient of it is zero only where one of pairs is."""
     out = {}
-    _add_data(out, data, scale)
-    return _clean(out)
+    _add_data(out, pairs, scale)
+    return out
 
 
 def _clean(data: dict) -> dict:
@@ -540,20 +554,20 @@ class Element:
     def __add__(self, other):
         self.pres._require(other)
         out = dict(self.data)
-        _add_data(out, other.data, RF_ONE)
+        _add_data(out, other.data.items(), RF_ONE)
         return Element(self.pres, _clean(out))
 
     def __sub__(self, other):
         self.pres._require(other)
         out = dict(self.data)
-        _add_data(out, other.data, RatFunc.const(-1))
+        _add_data(out, other.data.items(), RatFunc.const(-1))
         return Element(self.pres, _clean(out))
 
     def __neg__(self):
         return Element(self.pres, {M: -c for M, c in self.data.items()})
 
     def __mul__(self, scalar):
-        return Element(self.pres, _scaled(self.data, as_ratfunc(scalar)))
+        return Element(self.pres, _scaled(self.data.items(), as_ratfunc(scalar)))
 
     __rmul__ = __mul__
 

@@ -383,14 +383,13 @@ def _combine_rows(a, row: dict, b, prow: dict) -> dict:
 
 def _normalize_actions(actions):
     out = []
-    for a in actions:
-        if isinstance(a, Element):
-            out.append((a, None))
-        else:
-            current, derivation = a
-            if current is None and derivation is None:
-                raise LinearError("empty action")
-            out.append((current, derivation))
+    for i, a in enumerate(actions, 1):
+        current, derivation = (a, None) if isinstance(a, Element) else a
+        if current is None and derivation is None:
+            raise LinearError("empty action")
+        if current is not None and current.is_zero():
+            raise LinearError(f"current {i} of {len(actions)} is zero")
+        out.append((current, derivation))
     return out
 
 

@@ -121,6 +121,15 @@ def test_cli_commutant_solves_on_the_charge0_basis(capsys):
     assert "weight 3: basis 24, generic kernel dimension 8" in capsys.readouterr().out
 
 
+def test_cli_commutant_zero_current(capsys):
+    for currents, message in (("0", "current 1 of 1 is zero"),
+                              ("H, H - H", "current 2 of 2 is zero")):
+        code = main(["commutant", "--algebra", "affine:sl2@k", "--currents", currents,
+                     "--weight", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_find_relation(capsys):
     code = main([
         "find-relation", "--algebra", "heisenberg:1",

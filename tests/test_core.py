@@ -494,6 +494,23 @@ def test_memoized_products_are_never_mutated():
         assert composite.deriv(5) == composite.deriv(4).deriv()
         assert len(P._memo) > len(before)
         assert all(P._memo[key] == value for key, value in before.items())
+        assert all(type(value) is tuple and all(len(pair) == 2 for pair in value)
+                   for value in P._memo.values())
+
+
+def test_memo_coefficients_are_interned():
+    # one coefficient object per distinct value across the whole memo, and
+    # every zero product is the shared empty tuple
+    P = affine(builtin_lie("osp(1|2)"), K)
+    commutant_basis(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
+    coeffs = [c for value in P._memo.values() for _, c in value]
+    distinct = set(coeffs)
+    assert len(coeffs) > len(distinct) > 1
+    assert len({id(c) for c in coeffs}) == len(distinct)
+    assert all(coeffs)
+    zeros = [value for value in P._memo.values() if not value]
+    assert zeros and all(type(value) is tuple for value in zeros)
+    assert len({id(value) for value in zeros}) == 1
 
 
 def _random_element(P, rng, max_weight=3, max_len=None):

@@ -277,3 +277,31 @@ def test_one_tokenizer_for_coefficients_and_elements():
                 and node.func.attr == "compile"
                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"]
     assert len(compiles) == 1
+
+
+def test_ratfunc_fields_are_set_only_where_a_ratfunc_is_built():
+    # the engine memo interns its coefficients, so one RatFunc object is
+    # shared by many memo entries and elements; that is sound only while no
+    # RatFunc changes after it is built: znum and zden are assigned in
+    # coefficients._ratfunc and RatFunc.__init__ and nowhere else
+    fields = {"znum", "zden"}
+    writes = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr in fields
+                    and isinstance(child.ctx, (ast.Store, ast.Del))):
+                writes.add(".".join(scope))
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("setattr", "delattr")
+                    and any(isinstance(arg, ast.Constant) and arg.value in fields
+                            for arg in child.args)):
+                writes.add(".".join(scope))
+            visit(child, inner)
+
+    for name, tree in _trees().items():
+        visit(tree, (name,))
+    assert writes == {"coefficients.py._ratfunc", "coefficients.py.RatFunc.__init__"}

@@ -260,7 +260,7 @@ def test_engine_coefficients_stay_over_z():
     # holds ints in znum/zden: no Fraction leaks into the integer form
     P = affine(builtin_lie("osp(1|2)"), K)
     report = commutant_basis(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
-    coeffs = [c for out in P._memo.values() for c in out.values()]
+    coeffs = [c for out in P._memo.values() for _, c in out]
     coeffs += [c for vec in report.kernel_vectors for c in vec]
     assert len(coeffs) > 100
     assert all(type(x) is int for c in coeffs for x in c.znum + c.zden)
@@ -716,6 +716,19 @@ def test_enumerate_words_weight6_virasoro():
 def test_invariant_basis_rejects_empty_action():
     with pytest.raises(LinearError):
         invariant_basis(heisenberg(1), [(None, None)], 2)
+
+
+def test_zero_current_is_rejected():
+    # a zero current has no weight, and it would annihilate everything
+    P = affine(builtin_lie("sl2"), K)
+    H = P.gen("H")
+    for check in (
+        lambda: commutant_basis(P, [H, H - H], 2),
+        lambda: verify_commutant(P, H.no(H), [P.zero()]),
+        lambda: invariant_basis(P, [(P.zero(), {})], 2),
+    ):
+        with pytest.raises(LinearError, match="current [12] of [12] is zero"):
+            check()
 
 
 def test_invariance_vs_commutant():
