@@ -208,13 +208,13 @@ def cmd_commutant(args) -> int:
 def cmd_find_relation(args) -> int:
     P, definition = _load_algebra(args.algebra)
     target = _resolve(P, definition, args.target)
-    weight = _solve_weight(P.weight_of(target))
+    _solve_weight(P.weight_of(target))
     gens = [
         _resolve(P, definition, part)
         for part in args.generators.split(";")
         if part.strip()
     ]
-    rel = find_relation(P, target, gens, weight)
+    rel = find_relation(P, target, gens)
     if isinstance(rel, Obstruction):
         _emit(
             args,

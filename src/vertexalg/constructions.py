@@ -5,7 +5,8 @@ their standard conformal vector from the pairing.  The affine and deformable
 current tables share one builder, each quadratic orbifold invariant is one
 pair sum, and the outer sp_2n action on A(n) (x) S(n) is read off the zero
 modes of the tau currents.  The embedding constructors return images that
-carry a machine-checked homomorphism certificate.
+carry a machine-checked homomorphism certificate, and a coset Virasoro
+vector is L_A - L_g, a difference of Sugawara vectors of embeddings.
 """
 
 from __future__ import annotations
@@ -188,25 +189,15 @@ def affine(lie: LiePresentation, level) -> VAPresentation:
 
 
 def sugawara(P: VAPresentation) -> Element:
-    """Sugawara conformal vector of an affine presentation."""
+    """Sugawara conformal vector of an affine presentation: the Sugawara
+    vector of its generators as the identity embedding at its level."""
     lie = P.metadata.get("lie")
     level = P.metadata.get("level")
     if lie is None or level is None:
         raise ConstructionError("sugawara requires an affine presentation")
-    hv = lie.dual_coxeter()
-    shifted = level + RatFunc.const(hv)
-    if not shifted:
-        raise CriticalLevelError(f"critical level: k = {-hv}")
-    duals = lie.dual_basis()
-    L = P.zero()
-    for i in range(lie.dim):
-        dual_elem = P.zero()
-        for m, c in duals[i].items():
-            dual_elem = dual_elem + P.gen(m) * RatFunc.const(c)
-        L = L + P.gen(i).no(dual_elem)
-    scale = RF_ONE / (RatFunc.const(2) * shifted)
-    L = L * scale
-    return L
+    identity = EmbeddingImage(lie, P, [P.gen(i) for i in range(lie.dim)])
+    identity.level = level
+    return identity.sugawara()
 
 
 def sugawara_central_charge(P: VAPresentation) -> RatFunc:
@@ -332,6 +323,22 @@ class EmbeddingImage:
         self.level = level if level is not None else RF_ZERO
         return self.level
 
+    def sugawara(self) -> Element:
+        """(1/(2(level + h))) sum_i :tau(x_i) tau(x'_i): over the source basis
+        x_i and its dual basis x'_i, h the dual Coxeter number; the level is
+        verify()'s when unset.  For gl(1), h = 0 and this is :JJ:/(2 level)."""
+        lie = self.source
+        level = self.verify() if self.level is None else self.level
+        hv = lie.dual_coxeter()
+        shifted = level + RatFunc.const(hv)
+        if not shifted:
+            raise CriticalLevelError(f"critical level: {lie.name} at level {-hv}")
+        duals = lie.dual_basis()
+        L = self.target.zero()
+        for i in range(lie.dim):
+            L = L + self.images[i].no(self.image_of(duals[i]))
+        return L * (RF_ONE / (RatFunc.const(2) * shifted))
+
 
 def tau_embedding(n: int) -> EmbeddingImage:
     """sp_2n into the beta-gamma system S(n) at level -1/2."""
@@ -406,11 +413,7 @@ def diagonal_current(images) -> EmbeddingImage:
     level = out.verify()
     expected = RF_ZERO
     for e in images:
-        if e.level is None:
-            e_level = EmbeddingImage(e.source, e.target, e.images).verify()
-        else:
-            e_level = e.level
-        expected = expected + e_level
+        expected = expected + (e.verify() if e.level is None else e.level)
     if level != expected:
         raise ConstructionError(
             f"diagonal level {level} differs from sum of levels {expected}"
@@ -601,13 +604,12 @@ def n2_coset_generators(P: VAPresentation):
     bc = b.no(c)
     J = H - bc
     F = H + bc * (k / RatFunc.const(2))
-    inv = RF_ONE / (k + RatFunc.const(2))
+    # L_A - L_J, with L_A the sl2 Sugawara vector plus the bc conformal vector
+    sl2, bc_factor, _ = P.metadata["tensor_factors"]
     L = (
-        Xp.no(Xm) * inv
-        + H.no(bc) * (RatFunc.const(2) * inv)
-        - b.no(P.gen("c", 1)) * (k * inv / RatFunc.const(2))
-        + P.gen("b", 1).no(c) * (k * inv / RatFunc.const(2))
-        - P.derivative(H) * inv
+        P.embed_from_factor(sugawara(sl2), 0)
+        + P.embed_from_factor(free_field_conformal(bc_factor), 1)
+        - EmbeddingImage(builtin_lie("gl(1)"), P, [J]).sugawara()
     )
     Gp = Xp.no(b)
     Gm = Xm.no(c)
@@ -630,19 +632,7 @@ def odd_pair_shape(P: VAPresentation, plus: str, minus: str, m: int) -> dict:
 
 
 def osp_coset_virasoro(P: VAPresentation) -> Element:
-    """The commutant Virasoro element of V_k(osp(1|2)) by V_k(sp_2)."""
-    k = RatFunc.param()
-    two = RatFunc.const(2)
-    phip = P.gen("phip")
-    phim = P.gen("phim")
-    Xp = P.gen("Xp")
-    Xm = P.gen("Xm")
-    H = P.gen("H")
-    d1 = RF_ONE / (two * k + RatFunc.const(3))
-    d2 = RF_ONE / ((k + two) * (two * k + RatFunc.const(3)))
-    return (
-        phip.no(phim) * (RatFunc.const(-4) * d1)
-        + (Xp.no(Xm) + H.no(H)) * d2
-        + P.derivative(H) * ((RF_ONE + k) * d2)
-    )
-
+    """The commutant Virasoro element of V_k(osp(1|2)) by V_k(sp_2): the
+    difference of the two Sugawara vectors."""
+    sp2 = EmbeddingImage(builtin_lie("sl2"), P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")])
+    return sugawara(P) - sp2.sugawara()

@@ -15,16 +15,20 @@ product primes the names of its right factor that clash.
 ":a b c:" parses right-nested as :a (:b c:):.  Printing emits canonical
 sorted monomials in deterministic order and round-trips through the parser.
 A derivative order is at most MAX_DERIVATIVE_ORDER (the cost of D^n on a
-product grows like a power of n), and coefficients obey the degree limit of
-vertexalg.coefficients.
+product grows like a power of n), a normal-ordered product is formed only
+when its factors' longest monomials together have at most
+MAX_MONOMIAL_LENGTH generator factors (normal ordering costs grow steeply
+with the length, and far longer words overflow the engine's recursion),
+and coefficients obey the degree limit of vertexalg.coefficients.
 """
 
 from __future__ import annotations
 
-from .coefficients import RF_ONE, TokenReader, format_ratfunc
+from .coefficients import RF_ONE, LimitExceeded, TokenReader, format_ratfunc
 from .core import Element, VAError, VAPresentation
 
 MAX_DERIVATIVE_ORDER = 32
+MAX_MONOMIAL_LENGTH = 32
 
 
 class ExprError(VAError):
@@ -142,9 +146,18 @@ class _Parser(TokenReader):
                     factors.append(self.factor())
             acc = factors[-1]
             for f in reversed(factors[:-1]):
+                # a product's monomials are no longer than its factors' combined
+                length = _longest(f) + _longest(acc)
+                if length > MAX_MONOMIAL_LENGTH:
+                    raise LimitExceeded(f"a normal-ordered product of length {length} "
+                                        f"exceeds the monomial-length limit {MAX_MONOMIAL_LENGTH}")
                 acc = f.no(acc)
             return acc
         raise self.error(f"unexpected token {val!r}", start)
+
+
+def _longest(x: Element) -> int:
+    return max(map(len, x.data), default=0)
 
 
 def parse_element(pres: VAPresentation, text: str) -> Element:

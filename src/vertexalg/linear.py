@@ -686,16 +686,13 @@ def _action_image(P, current, derivation, v, n):
     return image
 
 
-def invariant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
+def invariant_basis(P: VAPresentation, actions, w) -> SolveReport:
     """Kernel of the combined zero modes on the weight-w space."""
-    w = exact_scalar(w)
-    if basis is None:
-        basis = weight_basis(P, w)
     zero_mode_actions = [
         (None, _zero_mode_as_derivation(P, current, derivation))
         for current, derivation in _normalize_actions(actions)
     ]
-    return commutant_basis(P, zero_mode_actions, w, basis)
+    return commutant_basis(P, zero_mode_actions, w)
 
 
 def _zero_mode_as_derivation(P, current, derivation):
@@ -857,15 +854,14 @@ class Obstruction:
         }
 
 
-def find_relation(P: VAPresentation, target: Element, gens, w=None):
+def find_relation(P: VAPresentation, target: Element, gens):
     """Express the target through normally ordered words in the generators.
 
     Solves multiplier * target = combination over the function field; the
     multiplier is the cleared common denominator (a primitive polynomial).
     Returns a Relation, or an Obstruction if the target is not in the span.
     """
-    if w is None:
-        w = P.weight_of(target)
+    w = P.weight_of(target)
     return _relation(P, target, enumerate_words(P, gens, w), w)
 
 

@@ -27,6 +27,7 @@ from vertexalg.constructions import (
     limit_element,
     limit_presentation,
     n2_coset_generators,
+    osp_coset_virasoro,
     primary_test,
     s_orbifold_w,
     sigma_embedding,
@@ -39,7 +40,7 @@ from vertexalg.constructions import (
 from vertexalg.core import VAPresentation
 from vertexalg.fock import FockOracle
 from vertexalg.lie import builtin_lie
-from vertexalg.linear import _diagonal_charges, verify_invariant
+from vertexalg.linear import _diagonal_charges, verify_commutant, verify_invariant
 
 K = RatFunc.param()
 
@@ -199,6 +200,15 @@ def test_sugawara_critical_level():
         sugawara(affine(builtin_lie("sl2"), RatFunc.const(-2)))
 
 
+def test_embedding_sugawara_critical_level():
+    # h = 2 for the sl2 inside osp(1|2) at level -2, but 3/2 for osp(1|2)
+    P = affine(builtin_lie("osp(1|2)"), -2)
+    sl2 = EmbeddingImage(builtin_lie("sl2"), P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")])
+    with pytest.raises(CriticalLevelError):
+        sl2.sugawara()
+    assert virasoro_test(sugawara(P))[0]
+
+
 def test_virasoro_test_rejects_spoiled():
     H = heisenberg(1)
     L = free_field_conformal(H)
@@ -270,6 +280,27 @@ def test_diagonal_tau_affine_sp2():
     tau_in = embed_image(tau, P, 1)
     diag = diagonal_current([aff, tau_in])
     assert diag.level == K - RatFunc.const(Fraction(1, 2))
+
+
+def test_diagonal_sl2_coset_virasoro():
+    # V_k(sl2) (x) V_1(sl2): the diagonal sl2 has level k + 1, and L_A - L_diag
+    # is the Goddard-Kent-Olive coset Virasoro vector
+    sl2 = builtin_lie("sl2")
+    left, right = affine(sl2, K), affine(sl2, 1)
+    P = left.tensor(right)
+    diag = diagonal_current([
+        EmbeddingImage(sl2, P, [P.gen(i) for i in range(3)]),
+        EmbeddingImage(sl2, P, [P.gen(i) for i in range(3, 6)]),
+    ])
+    assert diag.level == K + RF_ONE
+    L = (
+        P.embed_from_factor(sugawara(left), 0)
+        + P.embed_from_factor(sugawara(right), 1)
+        - diag.sugawara()
+    )
+    ok, c = virasoro_test(L)
+    assert ok and c == parse_ratfunc("(k^2 + 5*k)/(k^2 + 5*k + 6)")
+    assert verify_commutant(P, L, diag.images)
 
 
 def test_diagonal_of_single_image_is_identity():
@@ -368,4 +399,17 @@ def test_n2_l_formula_display():
         - P.derivative(P.gen("H")) * inv
     )
     assert gens["L"] == L
+
+
+def test_osp_coset_virasoro_formula():
+    P = affine(builtin_lie("osp(1|2)"), K)
+    two = RatFunc.const(2)
+    d1 = RF_ONE / (two * K + RatFunc.const(3))
+    d2 = RF_ONE / ((K + two) * (two * K + RatFunc.const(3)))
+    L = (
+        P.gen("phip").no(P.gen("phim")) * (RatFunc.const(-4) * d1)
+        + (P.gen("Xp").no(P.gen("Xm")) + P.gen("H").no(P.gen("H"))) * d2
+        + P.derivative(P.gen("H")) * ((RF_ONE + K) * d2)
+    )
+    assert osp_coset_virasoro(P) == L
 

@@ -2,9 +2,9 @@
 
 Every call must end with exit code 0, 1 or 2; malformed input ends with 2 and
 a message, never with a traceback.  Numbers over the size limits (derivative
-order and the n of nproduct, exponent and degree, rank, tensor factors, solve
-weight and solve columns) and input nested too deeply end with 2 within a
-second.
+order and the n of nproduct, monomial length, exponent and degree, rank,
+tensor factors, solve weight and solve columns) and input nested too deeply
+end with 2 within a second.
 """
 
 import copy
@@ -215,6 +215,12 @@ def test_huge_numbers_exit_quickly(capsys):
     (["commutant", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "11.9999999"], 0),
     (["nongeneric", "--algebra", "heisenberg:1", "--currents", "a1",
       "--weight", "1/1000000000"], 0),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr", ":" + "a1 " * 32 + ":"], 0),
+    (["normal-form", "--algebra", "heisenberg:1", "--expr", ":" + "a1 " * 33 + ":"], 2),
+    (["nproduct", "--algebra", "heisenberg:2", "--n=-1", "--left", ":" + "a2 " * 33 + ":",
+      "--right", ":" + "a1 " * 33 + ":"], 2),
+    # the engine's recursion overflowed on 350 factors before the limit
+    (["bracket", "--algebra", "heisenberg:1", "--left", "a1", "--right", ":" + "a1 " * 350 + ":"], 2),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)

@@ -584,7 +584,7 @@ def test_find_relation_sl3_family():
     q, c = fns["q"], fns["c"]
     target = c(3, 0, 0)
     gens = [q(0, 0, 0), q(0, 1, 0), c(1, 0, 0), c(0, 0, 0)]
-    rel = find_relation(H6, target, gens, 6)
+    rel = find_relation(H6, target, gens)
     assert isinstance(rel, Relation)
     assert rel.verify()
     lhs = q(0, 0, 0).no(c(1, 0, 0)) - q(0, 1, 0).no(c(0, 0, 0))
@@ -594,7 +594,7 @@ def test_find_relation_sl3_family():
 def test_find_relation_trivial_target():
     H = heisenberg(1)
     a = H.gen(0)
-    rel = find_relation(H, a, [a], 1)
+    rel = find_relation(H, a, [a])
     assert isinstance(rel, Relation)
     assert rel.multiplier == RF_ONE
     assert rel.combination == a
@@ -603,7 +603,7 @@ def test_find_relation_trivial_target():
 def test_find_relation_obstruction():
     H = heisenberg(1)
     target = H.gen(0, 1)  # d(a) is not a word in :aa:
-    rel = find_relation(H, target, [H.gen(0).no(H.gen(0))], 2)
+    rel = find_relation(H, target, [H.gen(0).no(H.gen(0))])
     assert isinstance(rel, Obstruction)
     assert (rel.words_rank, rel.combined_rank) == (1, 2)
 
@@ -617,8 +617,8 @@ def test_find_relation_dependent_word_columns():
     target = pin_commutant_element(
         commutant_basis(P, currents, 4), odd_pair_shape(P, "phip", "phim", 1)
     )
-    single = find_relation(P, target, [L], 4)
-    double = find_relation(P, target, [L, L], 4)
+    single = find_relation(P, target, [L])
+    double = find_relation(P, target, [L, L])
     assert isinstance(double, Relation) and double.verify()
     assert double.multiplier == single.multiplier == K + 4
     assert double.word_coeffs == single.word_coeffs
@@ -659,7 +659,7 @@ def test_closure_of_commutant_brackets():
             out = P.nprod(w2, v, 0)  # weight (2 + (w-2) - 1) = w - 1 ... use n = -1 for weight w
             out = P.normal_order(w2, v)
             assert verify_commutant(P, out, [H])
-            rel = find_relation(P, out, kernel, w)
+            rel = find_relation(P, out, kernel)
             assert isinstance(rel, Relation) and rel.verify()
 
 
