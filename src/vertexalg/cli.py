@@ -5,14 +5,14 @@ Exit codes: 0 all checks pass, 1 a check or computation reports failure,
 
 The cost of a solve grows steeply with its weight and its basis, so the
 weight of commutant and nongeneric (--weight) and of the find-relation
-target is at most MAX_SOLVE_WEIGHT, and the weight basis of a commutant or
-nongeneric solve has at most MAX_SOLVE_COLUMNS monomials, counted without
-enumerating them; over either limit the command exits 2 with a message.
-The solve runs on the charge-0 sub-basis of the currents that act
-diagonally (linear.commutant_basis), but the whole weight basis is
-enumerated first, so the limit counts all of it.  Since a_(-k-1) b =
-:(D^k a / k!) b:, the --n of nproduct is at least
--(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions.
+target is at most MAX_SOLVE_WEIGHT.  A commutant or nongeneric solve
+enumerates at most MAX_WEIGHT_BASIS monomials, counted by basis_size first,
+and runs on at most MAX_SOLVE_COLUMNS of them, the charge-0 solve_basis of
+linear; over any limit the command exits 2 with a message.
+Since a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct is at least
+-(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions, and the
+operands of nproduct and bracket have longest monomials of at most
+expressions.MAX_MONOMIAL_LENGTH generators together.
 A constructor spec has at most deffiles.MAX_FACTORS tensor factors, and
 input nested too deeply for the parsers exits 2 as well.
 """
@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .coefficients import CoefficientError, LimitExceeded
 from .deffiles import CONSTRUCTOR_SPECS, DefinitionError, build_algebra, load_definition
-from .expressions import MAX_DERIVATIVE_ORDER, format_element, parse_element
+from .expressions import (MAX_DERIVATIVE_ORDER, check_product_length, format_element,
+                          parse_element)
 from .lie import builtin_names
 from .linear import (
     basis_size,
@@ -35,15 +36,17 @@ from .linear import (
     find_relation,
     nongeneric_levels,
     Obstruction,
+    solve_basis,
 )
 from .suites import SUITES, run_suite
 
 
 # largest weight of a commutant, nongeneric or find-relation solve
 MAX_SOLVE_WEIGHT = 12
-# largest weight basis of a commutant or nongeneric solve, before the
-# charge-0 filter
-MAX_SOLVE_COLUMNS = 2000
+# largest weight basis of a commutant or nongeneric solve, enumerated or not
+MAX_WEIGHT_BASIS = 20000
+# most columns a commutant or nongeneric solve runs on
+MAX_SOLVE_COLUMNS = 500
 
 
 def _solve_weight(w):
@@ -130,6 +133,7 @@ def cmd_bracket(args) -> int:
     P, definition = _load_algebra(args.algebra)
     left = _resolve(P, definition, args.left)
     right = _resolve(P, definition, args.right)
+    check_product_length(left, right)
     br = P.lambda_bracket(left, right)
     payload = {
         "coefficients": [format_element(c) for c in br.coeffs],
@@ -154,6 +158,7 @@ def cmd_nproduct(args) -> int:
     P, definition = _load_algebra(args.algebra)
     left = _resolve(P, definition, args.left)
     right = _resolve(P, definition, args.right)
+    check_product_length(left, right)
     out = P.nprod(left, right, args.n)
     _emit(args, {"result": format_element(out)}, [format_element(out)])
     return 0
@@ -182,13 +187,15 @@ def _commutant_solve(args):
     weight = _solve_weight(args.weight)
     P, definition = _load_algebra(args.algebra)
     currents = _parse_actions(P, definition, args.currents)
-    columns = basis_size(P, weight)
-    if columns > MAX_SOLVE_COLUMNS:
-        raise LimitExceeded(
-            f"the weight-{weight} basis has {columns} monomials, more than the "
-            f"solve-column limit {MAX_SOLVE_COLUMNS}"
-        )
-    return commutant_basis(P, currents, weight)
+    size = basis_size(P, weight)
+    if size > MAX_WEIGHT_BASIS:
+        raise LimitExceeded(f"the weight-{weight} basis has {size} monomials, more "
+                            f"than the weight-basis limit {MAX_WEIGHT_BASIS}")
+    basis = solve_basis(P, currents, weight)
+    if len(basis) > MAX_SOLVE_COLUMNS:
+        raise LimitExceeded(f"the weight-{weight} solve has {len(basis)} columns, more "
+                            f"than the solve-column limit {MAX_SOLVE_COLUMNS}")
+    return commutant_basis(P, currents, weight, basis)
 
 
 def cmd_commutant(args) -> int:

@@ -146,18 +146,20 @@ class _Parser(TokenReader):
                     factors.append(self.factor())
             acc = factors[-1]
             for f in reversed(factors[:-1]):
-                # a product's monomials are no longer than its factors' combined
-                length = _longest(f) + _longest(acc)
-                if length > MAX_MONOMIAL_LENGTH:
-                    raise LimitExceeded(f"a normal-ordered product of length {length} "
-                                        f"exceeds the monomial-length limit {MAX_MONOMIAL_LENGTH}")
+                check_product_length(f, acc)
                 acc = f.no(acc)
             return acc
         raise self.error(f"unexpected token {val!r}", start)
 
 
-def _longest(x: Element) -> int:
-    return max(map(len, x.data), default=0)
+def check_product_length(a: Element, b: Element):
+    """Raise LimitExceeded when the longest monomials of a and b have more
+    than MAX_MONOMIAL_LENGTH generator factors together: a product of the
+    two has monomials no longer than that."""
+    length = sum(max(map(len, x.data), default=0) for x in (a, b))
+    if length > MAX_MONOMIAL_LENGTH:
+        raise LimitExceeded(f"a product of length {length} "
+                            f"exceeds the monomial-length limit {MAX_MONOMIAL_LENGTH}")
 
 
 def parse_element(pres: VAPresentation, text: str) -> Element:

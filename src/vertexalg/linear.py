@@ -1,7 +1,7 @@
 """Exact linear algebra over the rational-function field.
 
-Weight-graded basis enumeration, torus-charge filtering, commutant solves,
-relation finding, and decoupling analysis.
+Weight-graded basis enumeration, torus-charge-graded solve bases, commutant
+solves, relation finding, and decoupling analysis.
 
 One fraction-free elimination, PolySystem.eliminate, serves every
 parametric solve over Q(k): the commutant kernel, and through solve() the
@@ -40,8 +40,8 @@ where the derivation is an outer even derivation given on generators; the
 combined zero mode is current_(0) + derivation, and higher modes come from
 the current alone.  The second form realizes diagonal group actions whose
 restriction to a free tensor factor is not inner.  Unless it is given a
-basis, commutant_basis solves on the joint charge-0 monomials of the
-currents that act diagonally; the kernel is the same at every level.
+basis, commutant_basis solves on solve_basis, the joint charge-0 monomials
+of the currents that act diagonally; the kernel is the same at every level.
 
 Commutant rows come from a generating set of the current modes, not from
 every mode.  For m, n >= 0, [J_a(m), J_b(n)] = (J_a(0) J_b)(m + n): the
@@ -68,6 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, gcd, lcm
+from operator import add
 
 from .coefficients import (
     RF_ZERO,
@@ -117,39 +118,68 @@ class WeightBasis:
         return iter(self.monomials)
 
 
-def _pbw_words(bases, w):
+def _pbw_words(bases, w, charges=None):
     """Sorted words of total weight w in the bases and their derivatives.
 
     bases is a list of (weight, parity); a word is a sorted tuple of
     (base index, derivative order) slots in which an even slot may repeat
-    and an odd slot appears at most once.
+    and an odd slot appears at most once.  charges, when given, holds an
+    integer vector per base, and only the words of total charge 0 are kept.
     """
+    charges = charges or [()] * len(bases)
     slots = sorted(
-        ((i, d), wt + d, parity)
+        ((i, d), wt + d, parity, charges[i])
         for i, (wt, parity) in enumerate(bases)
         for d in range(int(w - wt) + 1 if wt <= w else 0)
     )
 
-    def recurse(start, remaining):
+    def recurse(start, remaining, charge):
         if remaining == 0:
-            yield ()
+            if not any(charge):
+                yield ()
             return
         for idx in range(start, len(slots)):
-            slot, fw, odd = slots[idx]
+            slot, fw, odd, q = slots[idx]
             if fw <= remaining:
-                for rest in recurse(idx + 1 if odd else idx, remaining - fw):
+                for rest in recurse(idx + 1 if odd else idx, remaining - fw,
+                                    tuple(map(add, charge, q))):
                     yield (slot,) + rest
 
-    return sorted(recurse(0, w))
+    return sorted(recurse(0, w, (0,) * len(charges[0]) if charges else ()))
 
 
 def weight_basis(P: VAPresentation, w) -> WeightBasis:
     """All canonical monomials of the given weight, in lexicographic order."""
+    return _charge0_basis(P, w, [])
+
+
+def solve_basis(P: VAPresentation, actions, w) -> WeightBasis:
+    """The basis a commutant solve runs on: the weight-w monomials of joint
+    charge 0 under the currents that _torus_currents accepts, or all of
+    them when no action qualifies.  Every kernel element lies there.
+
+    A current with non-constant charges, such as (k)*H, gets no charge
+    filter: its zero mode writes the row k q(T) v_T, which vanishes at
+    k = 0, so a filter that drops the monomials T of charge q(T) != 0 would
+    not hold at every level.  On affine sl2 at weight 2, [(k)*H] solves on
+    all 9 monomials and [H] on the 3 of charge 0.
+    """
+    return _charge0_basis(P, w, _torus_currents(P, actions))
+
+
+def _charge0_basis(P: VAPresentation, w, currents) -> WeightBasis:
+    """The weight-w monomials of joint charge 0 under the currents, each
+    current's _diagonal_charges scaled to integers by their lcm denominator."""
     w = exact_scalar(w)
     if w < 0:
         raise LinearError("weight must be nonnegative")
+    columns = []
+    for J in currents:
+        charges = _diagonal_charges(P, J).values()
+        scale = lcm(1, *(q.denominator for q in charges))
+        columns.append([int(q * scale) for q in charges])
     bases = [(g.weight, g.parity) for g in P.generators]
-    return WeightBasis(P, w, _pbw_words(bases, w))
+    return WeightBasis(P, w, _pbw_words(bases, w, list(zip(*columns))))
 
 
 def basis_size(P: VAPresentation, w) -> int:
@@ -186,19 +216,8 @@ def charge_filter(basis: WeightBasis, currents) -> WeightBasis:
 
     The currents have weight one and act diagonally on the generators.
     """
-    P = basis.pres
-    maps = [_diagonal_charges(P, J) for J in currents]
-    keep = []
-    for M in basis.monomials:
-        ok = True
-        for cm in maps:
-            total = sum((cm.get(g, Fraction(0)) for g, _ in M), Fraction(0))
-            if total != 0:
-                ok = False
-                break
-        if ok:
-            keep.append(M)
-    return WeightBasis(P, basis.weight, keep)
+    keep = set(_charge0_basis(basis.pres, basis.weight, currents))
+    return WeightBasis(basis.pres, basis.weight, [M for M in basis if M in keep])
 
 
 def _diagonal_charges(P: VAPresentation, J: Element) -> dict:
@@ -206,15 +225,10 @@ def _diagonal_charges(P: VAPresentation, J: Element) -> dict:
         raise NotTorusDiagonal("charge currents must have weight one")
     out = {}
     for g in range(P.ngen):
-        image = P.nprod(J, P.gen(g), 0)
-        if image.is_zero():
-            out[g] = Fraction(0)
-            continue
-        if set(image.data) != {((g, 0),)}:
-            raise NotTorusDiagonal(
-                f"current does not act diagonally on {P.generators[g].name}"
-            )
-        c = image.data[((g, 0),)]
+        image = P.nprod(J, P.gen(g), 0).data
+        if set(image) - {((g, 0),)}:
+            raise NotTorusDiagonal(f"current does not act diagonally on {P.generators[g].name}")
+        c = image.get(((g, 0),), RF_ZERO)
         if not c.is_constant():
             raise NotTorusDiagonal("charge is not a constant")
         out[g] = c.constant_value()
@@ -477,8 +491,8 @@ class SolveReport:
         }
 
 
-def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
-    """The commutant conditions on the weight-w space as a PolySystem.
+def commutant_system(P: VAPresentation, actions, w, basis) -> "PolySystem":
+    """The commutant conditions on the given weight-w basis as a PolySystem.
 
     One row block per mode that _generating_modes selects, one row per
     target monomial.  Those modes generate span{J_a(n) : 0 <= n <= ceil(w)}
@@ -489,8 +503,6 @@ def commutant_system(P: VAPresentation, actions, w, basis=None) -> "PolySystem":
     rows.
     """
     w = exact_scalar(w)
-    if basis is None:
-        basis = weight_basis(P, w)
     actions = _normalize_actions(actions)
     for current, _ in actions:
         if current is not None and P.weight_of(current) != 1:
@@ -595,22 +607,17 @@ def _current_brackets(P: VAPresentation, currents):
 def commutant_basis(P: VAPresentation, actions, w, basis=None) -> SolveReport:
     """The commutant at weight w over Q(k), solved on the given basis.
 
-    Without a basis the solve runs on the joint charge-0 sub-basis of the
-    weight-w space under the actions whose current acts diagonally
-    (_torus_currents), or on the whole weight basis when there is none.
-    That loses no kernel element at any level: the zero mode of such a
-    current writes the one-entry row charge(T) * v_T for each monomial T of
-    nonzero charge, so every kernel vector of the full system vanishes
-    there, and the rank of those rows does not depend on k.  The kernel,
+    Without a basis the solve runs on solve_basis.  That loses no kernel
+    element at any level: the zero mode of a diagonal current writes the
+    one-entry row charge(T) * v_T for each monomial T of nonzero charge, so
+    every kernel vector of the full system vanishes there, and the rank of
+    those rows does not depend on k.  The kernel,
     the kernel dimension at every level and the kernel vectors of the
     back-substitution are those of the full weight basis.
     """
     w = exact_scalar(w)
     if basis is None:
-        basis = weight_basis(P, w)
-        currents = _torus_currents(P, actions)
-        if currents:
-            basis = charge_filter(basis, currents)
+        basis = solve_basis(P, actions, w)
     system = commutant_system(P, actions, w, basis)
     rank, pivots, pivot_rows = system.eliminate()
     kernel = system.kernel(pivot_rows)
@@ -956,17 +963,13 @@ def decoupling_multiplier(P: VAPresentation, actions, gens, w,
     denominators of the ambient coefficients of the target and words are
     reported separately as poles.
 
-    charge_currents, when given, restricts the solve to the joint charge-0
-    eigenspace of their zero modes; kernel elements always lie there, so
-    this only shrinks the system.  Without it commutant_basis restricts
-    the solve to that of the diagonal currents among the actions, which
-    for the osp(1|2)/sp2 coset is the same basis as charge_currents=[H];
-    the osp-coset suite and the coset-decoupling bench pass it all the same.
+    charge_currents, when given, replace the currents of solve_basis: the
+    solve runs on the joint charge-0 monomials of their zero modes, where
+    every kernel element lies.  For the osp(1|2)/sp2 coset [H] gives
+    solve_basis itself.
     """
     w = exact_scalar(w)
-    basis = None
-    if charge_currents:
-        basis = charge_filter(weight_basis(P, w), charge_currents)
+    basis = _charge0_basis(P, w, charge_currents) if charge_currents else None
     com = commutant_basis(P, actions, w, basis=basis)
     if target is None:
         if target_shape is None:

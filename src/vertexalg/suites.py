@@ -231,7 +231,6 @@ def suite_osp_coset() -> SuiteReport:
         report = decoupling_multiplier(
             P, currents, [L], w,
             target_shape=odd_pair_shape(P, "phip", "phim", m),
-            charge_currents=[P.gen("H")],
         )
         roots = set(report.roots)
         want = {Fraction(r) for r in want_roots}

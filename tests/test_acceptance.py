@@ -12,9 +12,9 @@ matches at odd i, and the even-i sign is forced by the stated generator
 brackets.  Criterion 7 tests orbifold membership, i.e. annihilation by the
 combined zero modes that implement the group action; the tau embedding is
 conformal, so annihilation by all nonnegative modes would leave only the
-vacuum line.  Criterion 4's weight-6 and weight-8 decouplings solve on the
-H-charge-0 subspace (charge_currents=[H]); test_decoupling_charge_filter_is_exact
-in test_linear.py checks at weight 4 that the filter does not change the report.
+vacuum line.  Criterion 4's decouplings solve on the H-charge-0 subspace,
+linear.solve_basis of H, Xp, Xm; test_default_solve_is_the_full_basis_solve
+in test_linear.py checks at weight 4 that it has the full basis's kernel.
 """
 
 import random

@@ -8,6 +8,7 @@ import pytest
 from vertexalg import cli
 from vertexalg.cli import main
 from vertexalg.deffiles import MAX_LIE_DIM, build_algebra, load_definition
+from vertexalg.linear import commutant_basis
 from vertexalg.suites import run_suite
 
 
@@ -255,3 +256,18 @@ def test_cli_bad_expression_names_its_entry(tmp_path, capsys, field, name, text,
     path.write_text(json.dumps(doc))
     assert main(["define", "--file", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: " + message)
+
+
+def test_cli_commutant_limit_counts_the_solve_columns(capsys):
+    # the weight-5 basis of sl3 has 2464 monomials and the solve runs on
+    # its 196 of charge 0 under H1 and H2; the commutant of the gl2 they
+    # span with E12 and E21 has dimension 6 there
+    names = ["H1", "H2", "E12", "E21"]
+    code = main(["--format", "json", "commutant", "--algebra", "affine:sl3@k",
+                 "--currents", ",".join(names), "--weight", "5"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["basis_size"], payload["kernel_dim"]) == (196, 6)
+    P = build_algebra("affine:sl3@k")
+    report = commutant_basis(P, [P.gen(name) for name in names], 5)
+    assert payload["kernel"] == report.serialize()["kernel"]

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from vertexalg import linear
 from vertexalg.cli import main
 
 from test_cli import DEFINITION
@@ -209,7 +210,8 @@ def test_huge_numbers_exit_quickly(capsys):
     (["nproduct", "--algebra", "heisenberg:1", "--n=-34", "--left", "a1", "--right", "a1"], 2),
     (["normal-form", "--algebra", " * ".join(["betagamma:100"] * 16), "--expr=1"], 0),
     (["normal-form", "--algebra", " * ".join(["betagamma:100"] * 17), "--expr=1"], 2),
-    # 2015 columns; heisenberg:61 has 1952 and passes, in about 6 s
+    # a Heisenberg current has charge 0 on every generator, so all 2015
+    # weight-2 monomials are solve columns (rows at the end: 495 pass, 527 not)
     (["commutant", "--algebra", "heisenberg:62", "--currents", "a1", "--weight", "2"], 2),
     # no monomial has these weights, so the column count is 0 at once
     (["commutant", "--algebra", "heisenberg:1", "--currents", "a1", "--weight", "11.9999999"], 0),
@@ -221,12 +223,43 @@ def test_huge_numbers_exit_quickly(capsys):
       "--right", ":" + "a1 " * 33 + ":"], 2),
     # the engine's recursion overflowed on 350 factors before the limit
     (["bracket", "--algebra", "heisenberg:1", "--left", "a1", "--right", ":" + "a1 " * 350 + ":"], 2),
+    # each operand is within the monomial-length limit, their product is not
+    (["nproduct", "--algebra", "heisenberg:2", "--n=-1", "--left", ":" + "a2 " * 32 + ":",
+      "--right", ":" + "a1 " * 32 + ":"], 2),
+    (["nproduct", "--algebra", "heisenberg:2", "--n=-1", "--left", ":" + "a2 " * 16 + ":",
+      "--right", ":" + "a1 " * 16 + ":"], 0),
+    (["bracket", "--algebra", "heisenberg:2", "--left", ":" + "a2 " * 32 + ":",
+      "--right", ":" + "a1 " * 32 + ":"], 2),
+    # the solve-column limit: 495 weight-2 monomials, then 527
+    (["commutant", "--algebra", "heisenberg:30", "--currents", "a1", "--weight", "2"], 0),
+    (["commutant", "--algebra", "heisenberg:31", "--currents", "a1", "--weight", "2"], 2),
+    # 1620 solve columns out of a weight basis of 16 634
+    (["commutant", "--algebra", "affine:osp(1|2)@k", "--currents", "H,Xp,Xm",
+      "--weight", "10"], 2),
+    # a weight basis of 20 008 monomials, refused before it is enumerated
+    (["commutant", "--algebra", "bc:7", "--currents", ":b1 c1:", "--weight", "7/2"], 2),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)
     assert got == code and seconds < 1
     if code == 2:
         assert "limit" in capsys.readouterr().err
+
+
+def test_solve_limits_name_their_counts(monkeypatch, capsys):
+    # the weight basis is counted before anything is enumerated, and the
+    # solve columns are counted on the basis the solve would run on
+    code, _ = _timed_main(["commutant", "--algebra", "affine:osp(1|2)@k",
+                           "--currents", "H,Xp,Xm", "--weight", "10"])
+    assert code == 2 and "1620 columns" in capsys.readouterr().err
+
+    def enumerated(*args):
+        raise AssertionError("the weight basis was enumerated")
+
+    monkeypatch.setattr(linear, "_pbw_words", enumerated)
+    code, _ = _timed_main(["commutant", "--algebra", "bc:7", "--currents", ":b1 c1:",
+                           "--weight", "7/2"])
+    assert code == 2 and "20008 monomials" in capsys.readouterr().err
 
 
 def test_huge_numbers_in_definition_files(tmp_path, capsys):

@@ -230,7 +230,8 @@ def test_verify_commutant_stays_independent_of_the_mode_selection():
     functions = {node.name: node for node in _trees()["linear.py"].body
                  if isinstance(node, ast.FunctionDef)}
     selection = {"_generating_modes", "_current_brackets", "charge_filter",
-                 "_diagonal_charges", "_torus_currents"}
+                 "_diagonal_charges", "_torus_currents", "solve_basis",
+                 "_charge0_basis"}
     assert selection <= set(functions)
     reached, todo = set(), ["verify_commutant", "_action_image"]
     while todo:

@@ -252,7 +252,8 @@ def test_pivot_divides_maximal_minor():
 @pytest.fixture(scope="module")
 def osp_weight4_system():
     P = affine(builtin_lie("osp(1|2)"), K)
-    return commutant_system(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4)
+    return commutant_system(P, [P.gen("H"), P.gen("Xp"), P.gen("Xm")], 4,
+                            weight_basis(P, 4))
 
 
 def test_engine_coefficients_stay_over_z():
@@ -693,8 +694,8 @@ def test_decoupling_dimension_hypothesis_error():
 
 def test_decoupling_charge_filter_is_exact():
     # kernel elements have H-charge 0, so restricting the weight-4 solve to
-    # that subspace must not change the report; the osp-coset suite relies
-    # on this at weight 6
+    # that subspace by charge_currents gives the report of the default
+    # solve_basis, the basis the osp-coset suite solves on
     P = affine(builtin_lie("osp(1|2)"), K)
     currents = [P.gen("H"), P.gen("Xp"), P.gen("Xm")]
     L = osp_coset_virasoro(P)
@@ -876,7 +877,7 @@ def test_commutant_rows_keep_every_mode(case):
     basis = weight_basis(P, weight)
     pairs = [a if isinstance(a, tuple) else (a, None) for a in actions]
     expected = _all_modes(P, pairs, basis).original_rows
-    assert commutant_system(P, actions, weight).original_rows == expected
+    assert commutant_system(P, actions, weight, basis).original_rows == expected
 
 
 def test_zero_mode_rows_alone_miss_the_commutant():
@@ -949,3 +950,15 @@ def test_default_solve_keeps_the_full_basis_without_a_diagonal_current(case, ker
     report = commutant_basis(P, actions, weight)
     assert len(report.basis) == basis_size(P, weight)
     assert report.kernel_dim == kernel_dim
+
+
+def test_non_constant_charges_get_no_filter():
+    # the charge of (k)*H vanishes at k = 0, so solve_basis keeps every
+    # monomial; the kernel is still that of H, whose filter drops 6 of 9
+    P = affine(builtin_lie("sl2"), K)
+    H = P.gen("H")
+    scaled = commutant_basis(P, [H * K], 2)
+    plain = commutant_basis(P, [H], 2)
+    assert (len(scaled.basis), len(plain.basis)) == (9, 3)
+    assert scaled.kernel_dim == plain.kernel_dim
+    assert all(verify_commutant(P, v, [H]) for v in scaled.kernel_elements())
