@@ -8,7 +8,9 @@ weight of commutant and nongeneric (--weight) and of the find-relation
 target is at most MAX_SOLVE_WEIGHT.  A commutant or nongeneric solve
 enumerates at most MAX_WEIGHT_BASIS monomials, counted by basis_size first,
 and runs on at most MAX_SOLVE_COLUMNS of them, the charge-0 solve_basis of
-linear; over any limit the command exits 2 with a message.
+linear.  A find-relation solve likewise enumerates at most MAX_WEIGHT_BASIS
+words in its generators, counted by basis_size before any is built.  Over
+any limit the command exits 2 with a message.
 Since a_(-k-1) b = :(D^k a / k!) b:, the --n of nproduct is at least
 -(MAX_DERIVATIVE_ORDER + 1), the bound on D^k in expressions, and the
 operands of nproduct and bracket have longest monomials of at most
@@ -43,7 +45,8 @@ from .suites import SUITES, run_suite
 
 # largest weight of a commutant, nongeneric or find-relation solve
 MAX_SOLVE_WEIGHT = 12
-# largest weight basis of a commutant or nongeneric solve, enumerated or not
+# largest weight basis of a commutant or nongeneric solve, enumerated or not,
+# and most words in the generators of a find-relation solve
 MAX_WEIGHT_BASIS = 20000
 # most columns a commutant or nongeneric solve runs on
 MAX_SOLVE_COLUMNS = 500
@@ -187,7 +190,7 @@ def _commutant_solve(args):
     weight = _solve_weight(args.weight)
     P, definition = _load_algebra(args.algebra)
     currents = _parse_actions(P, definition, args.currents)
-    size = basis_size(P, weight)
+    size = basis_size([(g.weight, g.parity) for g in P.generators], weight)
     if size > MAX_WEIGHT_BASIS:
         raise LimitExceeded(f"the weight-{weight} basis has {size} monomials, more "
                             f"than the weight-basis limit {MAX_WEIGHT_BASIS}")
@@ -215,12 +218,16 @@ def cmd_commutant(args) -> int:
 def cmd_find_relation(args) -> int:
     P, definition = _load_algebra(args.algebra)
     target = _resolve(P, definition, args.target)
-    _solve_weight(P.weight_of(target))
+    weight = _solve_weight(P.weight_of(target))
     gens = [
         _resolve(P, definition, part)
         for part in args.generators.split(";")
         if part.strip()
     ]
+    size = basis_size([(P.weight_of(g), P.parity_of(g)) for g in gens], weight)
+    if size > MAX_WEIGHT_BASIS:
+        raise LimitExceeded(f"the generators have {size} words of weight {weight}, more "
+                            f"than the weight-basis limit {MAX_WEIGHT_BASIS}")
     rel = find_relation(P, target, gens)
     if isinstance(rel, Obstruction):
         _emit(

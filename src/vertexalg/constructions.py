@@ -195,9 +195,7 @@ def sugawara(P: VAPresentation) -> Element:
     level = P.metadata.get("level")
     if lie is None or level is None:
         raise ConstructionError("sugawara requires an affine presentation")
-    identity = EmbeddingImage(lie, P, [P.gen(i) for i in range(lie.dim)])
-    identity.level = level
-    return identity.sugawara()
+    return EmbeddingImage(lie, P, [P.gen(i) for i in range(lie.dim)], level).sugawara()
 
 
 def sugawara_central_charge(P: VAPresentation) -> RatFunc:
@@ -265,15 +263,17 @@ def primary_test(L: Element, a: Element):
 
 
 class EmbeddingImage:
-    """Images of a Lie algebra's basis as weight-1 elements of a target."""
+    """Images of a Lie algebra's basis as weight-1 elements of a target, at
+    a level: the given one, trusted, or else the one verify() reads."""
 
-    def __init__(self, source: LiePresentation, target: VAPresentation, images):
+    def __init__(self, source: LiePresentation, target: VAPresentation, images,
+                 level=None):
         self.source = source
         self.target = target
         self.images = list(images)
         if len(self.images) != source.dim:
             raise ConstructionError("one image per basis vector required")
-        self.level = None
+        self.level = self.verify() if level is None else level
 
     def image_of(self, vec: dict) -> Element:
         out = self.target.zero()
@@ -320,17 +320,15 @@ class EmbeddingImage:
                     level = this_level
                 elif level != this_level:
                     raise ConstructionError("inconsistent level across pairs")
-        self.level = level if level is not None else RF_ZERO
-        return self.level
+        return level if level is not None else RF_ZERO
 
     def sugawara(self) -> Element:
         """(1/(2(level + h))) sum_i :tau(x_i) tau(x'_i): over the source basis
-        x_i and its dual basis x'_i, h the dual Coxeter number; the level is
-        verify()'s when unset.  For gl(1), h = 0 and this is :JJ:/(2 level)."""
+        x_i and its dual basis x'_i, h the dual Coxeter number.  For gl(1),
+        h = 0 and this is :JJ:/(2 level)."""
         lie = self.source
-        level = self.verify() if self.level is None else self.level
         hv = lie.dual_coxeter()
-        shifted = level + RatFunc.const(hv)
+        shifted = self.level + RatFunc.const(hv)
         if not shifted:
             raise CriticalLevelError(f"critical level: {lie.name} at level {-hv}")
         duals = lie.dual_basis()
@@ -363,9 +361,8 @@ def tau_embedding(n: int) -> EmbeddingImage:
         else:
             images.append(gamma(j).no(beta(k)))
     emb = EmbeddingImage(lie, S, images)
-    level = emb.verify()
-    if level != RatFunc.const(Fraction(-1, 2)):
-        raise ConstructionError(f"tau embedding level check failed: {level}")
+    if emb.level != RatFunc.const(Fraction(-1, 2)):
+        raise ConstructionError(f"tau embedding level check failed: {emb.level}")
     return emb
 
 
@@ -379,13 +376,10 @@ def sigma_embedding(m: int) -> EmbeddingImage:
     for name in lie.names:
         i, j = int(name[1]) - 1, int(name[2]) - 1
         images.append(F.gen(i).no(F.gen(j)))
-    emb = EmbeddingImage(lie, F, images)
-    if lie.dim:
-        level = emb.verify()
-        if level != RF_ONE:
-            raise ConstructionError(f"sigma embedding level check failed: {level}")
-    else:
-        emb.level = RF_ONE
+    # so_1 = 0 has no pair to read a level from, so its level 1 is given
+    emb = EmbeddingImage(lie, F, images, None if lie.dim else RF_ONE)
+    if emb.level != RF_ONE:
+        raise ConstructionError(f"sigma embedding level check failed: {emb.level}")
     return emb
 
 
@@ -410,13 +404,12 @@ def diagonal_current(images) -> EmbeddingImage:
             total = total + other.images[i]
         summed.append(total)
     out = EmbeddingImage(first.source, first.target, summed)
-    level = out.verify()
     expected = RF_ZERO
     for e in images:
-        expected = expected + (e.verify() if e.level is None else e.level)
-    if level != expected:
+        expected = expected + e.level
+    if out.level != expected:
         raise ConstructionError(
-            f"diagonal level {level} differs from sum of levels {expected}"
+            f"diagonal level {out.level} differs from sum of levels {expected}"
         )
     return out
 
@@ -424,9 +417,7 @@ def diagonal_current(images) -> EmbeddingImage:
 def embed_image(emb: EmbeddingImage, tensor: VAPresentation, factor: int) -> EmbeddingImage:
     """Push an embedding into a tensor product containing its target."""
     images = [tensor.embed_from_factor(x, factor) for x in emb.images]
-    out = EmbeddingImage(emb.source, tensor, images)
-    out.level = emb.level
-    return out
+    return EmbeddingImage(emb.source, tensor, images, emb.level)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +437,7 @@ def deformable_form(P: VAPresentation) -> VAPresentation:
     if level != RatFunc.param():
         raise ConstructionError("deformable_form requires the symbolic level k")
     gens, table = _current_table(lie, "a_", RF_ONE / RatFunc.param(), RF_ONE)
-    out = VAPresentation(gens, table, param="kappa", name=f"def({P.name})")
-    out.metadata["lie"] = lie
-    out.metadata["deformable_of"] = P
-    return out
+    return VAPresentation(gens, table, param="kappa", name=f"def({P.name})")
 
 
 def limit_presentation(P: VAPresentation) -> VAPresentation:
@@ -475,8 +463,6 @@ def limit_presentation(P: VAPresentation) -> VAPresentation:
         table[key] = tuple(new_cs)
     out = VAPresentation(gens, table, param=P.param, name=f"lim({P.name})")
     out.metadata["limit_of"] = P
-    if "lie" in P.metadata:
-        out.metadata["lie"] = P.metadata["lie"]
     return out
 
 

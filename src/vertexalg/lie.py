@@ -3,9 +3,10 @@
 A presentation stores a basis with parities, sparse structure constants
 f_{ij}^m over Q, and an invariant bilinear form.  Validation checks
 super-antisymmetry, the super Jacobi identity on all triples, and
-invariance/supersymmetry of the form; the classical families are built from
-explicit matrices in the defining representation so their constants are
-computed, not keyed in.
+invariance/supersymmetry of the form.  Every built-in is built from
+explicit supermatrices in its defining representation, so its constants are
+computed, not keyed in: the classical families from even matrices with the
+trace form, and osp(1|2) from matrices in gl(2|1) with the supertrace form.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def _exact(value, what) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Classical families from matrices in the defining representation
+# Built-ins from supermatrices in the defining representation
 
 
 def _matrix(n, *terms):
@@ -292,59 +293,72 @@ def _matrix(n, *terms):
     return out
 
 
-def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie"):
-    """Even Lie algebra spanned by given matrices, trace form times form_scale.
+def lie_from_matrices(names, matrices, form_scale=Fraction(1), name="lie", odd_rows=()):
+    """Lie superalgebra spanned by supermatrices, supertrace form times form_scale.
 
-    The matrices (int or Fraction entries) are scaled once to integer
-    matrices D x_i, D the lcm of their denominators.  Structure constants
-    come from expanding every commutator [D x_i, D x_j] = D^2 [x_i, x_j] with
-    i < j in the span of the D x_m, all in one elimination over Q, and
-    dividing the coordinates by D; [x_j, x_i] is minus that expansion.  The
-    matrices must be linearly independent and closed under commutator;
-    LieError says which fails.
+    The matrices act on a graded space whose odd basis vectors are the
+    indices in odd_rows (none for an even Lie algebra).  Entry (r, s) has
+    parity p(r) + p(s), and each matrix takes its parity from its nonzero
+    entries; a matrix that mixes parities raises LieError.  The matrices (int
+    or Fraction entries) are scaled once to integer matrices D x_i, D the lcm
+    of their denominators.  Structure constants come from expanding every
+    supercommutator [D x_i, D x_j] = D x_i D x_j - (-1)^{p_i p_j} D x_j D x_i
+    = D^2 [x_i, x_j] with i < j, or i = j for odd x_i, in the span of the
+    D x_m, all in one elimination over Q, and dividing the coordinates by D;
+    [x_j, x_i] is -(-1)^{p_i p_j} times that expansion.  The matrices must be
+    linearly independent and closed under supercommutator; LieError says
+    which fails.
     """
     dim = len(matrices)
-    size = len(matrices[0])
+    size = len(matrices[0]) if matrices else 0
+    grade = [int(r in odd_rows) for r in range(size)]
     d = lcm(*(x.denominator for mat in matrices for row in mat for x in row))
     mats = [[[x.numerator * (d // x.denominator) for x in row] for row in mat]
             for mat in matrices]
     entries = [[(r, s, v) for r, row in enumerate(mat) for s, v in enumerate(row) if v]
                for mat in mats]
+    parities = []
+    for x, ents in zip(names, entries):
+        kinds = {(grade[r] + grade[s]) % 2 for r, s, _ in ents}
+        if len(kinds) > 1:
+            raise LieError(f"matrix {x} mixes even and odd entries")
+        parities.append(kinds.pop() if kinds else EVEN)
+    sign = lambda i, j: -1 if parities[i] and parities[j] else 1
     # one row per matrix entry (r, s), row r * size + s; the unknowns are
-    # coordinates in the basis, and the commutator [x_i, x_j], i < j, is
-    # right-hand side dim * (i + 1) + j
+    # coordinates in the basis, and the supercommutator [x_i, x_j], i <= j,
+    # is right-hand side dim * (i + 1) + j
     rows = [{m: mat[r][s] for m, mat in enumerate(mats)} for r in range(size) for s in range(size)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            col = dim * (i + 1) + j
-            for sign, a, b in ((1, i, j), (-1, j, i)):
-                for r, t, v in entries[a]:
-                    for s, w in enumerate(mats[b][t]):
-                        if w:
-                            row = rows[r * size + s]
-                            row[col] = row.get(col, 0) + sign * v * w
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1 - parities[i], dim)]
+    for i, j in pairs:
+        col = dim * (i + 1) + j
+        for scale, a, b in ((1, i, j), (-sign(i, j), j, i)):
+            for r, t, v in entries[a]:
+                for s, w in enumerate(mats[b][t]):
+                    if w:
+                        row = rows[r * size + s]
+                        row[col] = row.get(col, 0) + scale * v * w
     rank, solutions = qsolve(rows, dim)
     if rank < dim:
         raise LieError("matrices are linearly dependent")
     brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            # a zero commutator occurs in no row, so solutions has no entry
-            coords = solutions.get(dim * (i + 1) + j, ())
-            if coords is None:
-                raise LieError("commutator not in the span of the basis")
-            comp = {m: c / d for m, c in enumerate(coords) if c}
-            if comp:
-                brackets[(i, j)] = comp
-                brackets[(j, i)] = {m: -c for m, c in comp.items()}
-    # B(x_i, x_j) = form_scale * sum_{r,s} x_i[r][s] x_j[s][r] is symmetric,
-    # and the integer matrices give that sum times D^2
+    for i, j in pairs:
+        # a zero supercommutator occurs in no row, so solutions has no entry
+        coords = solutions.get(dim * (i + 1) + j, ())
+        if coords is None:
+            raise LieError("commutator not in the span of the basis")
+        comp = {m: c / d for m, c in enumerate(coords) if c}
+        if comp:
+            brackets[(i, j)] = comp
+            brackets[(j, i)] = {m: -sign(i, j) * c for m, c in comp.items()}
+    # B(x_i, x_j) = form_scale * sum_{r,s} (-1)^{p(r)} x_i[r][s] x_j[s][r] is
+    # (-1)^{p_i p_j} B(x_j, x_i), and the integer matrices give that sum times D^2
     form = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            b = sum(v * mats[j][s][r] for r, s, v in entries[i])
-            form[i][j] = form[j][i] = form_scale * Fraction(b, d * d)
-    return LiePresentation(names, [EVEN] * dim, brackets, form, name=name)
+            b = sum((-1) ** grade[r] * v * mats[j][s][r] for r, s, v in entries[i])
+            form[i][j] = form_scale * Fraction(b, d * d)
+            form[j][i] = sign(i, j) * form[i][j]
+    return LiePresentation(names, parities, brackets, form, name=name)
 
 
 def _sl2() -> LiePresentation:
@@ -406,45 +420,19 @@ def _so(m: int) -> LiePresentation:
         for j in range(i + 1, m):
             names.append(f"M{i+1}{j+1}")
             mats.append(_matrix(m, (i, j, 1), (j, i, -1)))
-    if not mats:
-        return LiePresentation([], [], {}, [], name=f"so{m}")
     return lie_from_matrices(names, mats, form_scale=Fraction(1, 2), name=f"so{m}")
 
 
 def _osp12() -> LiePresentation:
-    """osp(1|2) with the bracket and form read off the affine OPE display."""
-    names = ["H", "Xp", "Xm", "phip", "phim"]
-    parities = [EVEN, EVEN, EVEN, ODD, ODD]
-    H, XP, XM, FP, FM = range(5)
-    one = Fraction(1)
+    """osp(1|2) in gl(2|1), the third row and column odd; the supertrace form
+    gives B(H, H) = 1/2, B(Xp, Xm) = 1 and B(phip, phim) = 1/2, matching the
+    affine OPE display."""
     half = Fraction(1, 2)
-    br = {}
-
-    def setbr(i, j, comp):
-        comp = {m: Fraction(c) for m, c in comp.items() if c}
-        if comp:
-            br[(i, j)] = comp
-        sign = -1 if (parities[i] and parities[j]) else 1
-        flipped = {m: -sign * c for m, c in comp.items()}
-        if flipped:
-            br[(j, i)] = flipped
-
-    setbr(H, XP, {XP: one})
-    setbr(H, XM, {XM: -one})
-    setbr(XP, XM, {H: 2 * one})
-    setbr(H, FP, {FP: half})
-    setbr(H, FM, {FM: -half})
-    setbr(XP, FM, {FP: -one})
-    setbr(XM, FP, {FM: -one})
-    br[(FP, FP)] = {XP: half}
-    br[(FM, FM)] = {XM: -half}
-    setbr(FP, FM, {H: half})
-    form = [[Fraction(0)] * 5 for _ in range(5)]
-    form[H][H] = half
-    form[XP][XM] = form[XM][XP] = one
-    form[FP][FM] = half
-    form[FM][FP] = -half
-    return LiePresentation(names, parities, br, form, name="osp(1|2)")
+    mats = [_matrix(3, (0, 0, half), (1, 1, -half)), _matrix(3, (0, 1, 1)),
+            _matrix(3, (1, 0, 1)), _matrix(3, (0, 2, half), (2, 1, half)),
+            _matrix(3, (1, 2, -half), (2, 0, half))]
+    return lie_from_matrices(["H", "Xp", "Xm", "phip", "phim"], mats, odd_rows={2},
+                             name="osp(1|2)")
 
 
 _BUILTINS = {

@@ -126,6 +126,7 @@ def _pbw_words(bases, w, charges=None):
     and an odd slot appears at most once.  charges, when given, holds an
     integer vector per base, and only the words of total charge 0 are kept.
     """
+    _check_bases(bases)
     charges = charges or [()] * len(bases)
     slots = sorted(
         ((i, d), wt + d, parity, charges[i])
@@ -146,6 +147,14 @@ def _pbw_words(bases, w, charges=None):
                     yield (slot,) + rest
 
     return sorted(recurse(0, w, (0,) * len(charges[0]) if charges else ()))
+
+
+def _check_bases(bases):
+    """A base of weight <= 0 would give words of every length; refuse it."""
+    for i, (wt, _) in enumerate(bases):
+        if wt <= 0:
+            raise LinearError(f"generator {i + 1} of {len(bases)} has weight {wt}; "
+                              "words need positive weights")
 
 
 def weight_basis(P: VAPresentation, w) -> WeightBasis:
@@ -182,26 +191,29 @@ def _charge0_basis(P: VAPresentation, w, currents) -> WeightBasis:
     return WeightBasis(P, w, _pbw_words(bases, w, list(zip(*columns))))
 
 
-def basis_size(P: VAPresentation, w) -> int:
-    """len(weight_basis(P, w)), counted without enumerating the monomials.
+def basis_size(bases, w) -> int:
+    """The number of words _pbw_words(bases, w) gives, counted without
+    enumerating them; bases is a list of (weight, parity), and for the
+    generators of P the count is len(weight_basis(P, w)).
 
     The count is the coefficient of q^w in the product over the slots
-    (generator, derivative order) of 1/(1 - q^s) for an even slot of weight s
+    (base, derivative order) of 1/(1 - q^s) for an even slot of weight s
     and 1 + q^s for an odd one; the slots of one weight and parity are taken
-    together.  Weights are counted in units of the lcm of the generators'
-    weight denominators; a weight that is no multiple of that unit has none.
+    together.  Weights are counted in units of the lcm of the bases' weight
+    denominators; a weight that is no multiple of that unit has none.
     """
     w = exact_scalar(w)
     if w < 0:
         raise LinearError("weight must be nonnegative")
-    unit = lcm(1, *(g.weight.denominator for g in P.generators))
+    _check_bases(bases)
+    unit = lcm(1, *(wt.denominator for wt, _ in bases))
     if (w * unit).denominator != 1:
         return 0
     top = int(w * unit)
     slots = Counter()
-    for g in P.generators:
-        for s in range(int(g.weight * unit), top + 1, unit):
-            slots[s, g.parity] += 1
+    for wt, parity in bases:
+        for s in range(int(wt * unit), top + 1, unit):
+            slots[s, parity] += 1
     counts = [1] + [0] * top
     for (s, odd), m in slots.items():
         # (1 + q^s)^m or (1 - q^s)^-m, up to q^top

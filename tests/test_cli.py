@@ -149,6 +149,13 @@ def test_cli_find_relation_obstruction(capsys):
     assert code == 1
 
 
+def test_cli_find_relation_with_the_vacuum_as_a_generator(capsys):
+    code = main(["find-relation", "--algebra", "heisenberg:1", "--target", ":a1 a1:",
+                 "--generators", "1;a1"])
+    assert code == 2
+    assert "generator 1 of 2 has weight 0" in capsys.readouterr().err
+
+
 def test_cli_nongeneric(capsys):
     code = main(["nongeneric", "--algebra", "affine:sl2@k", "--currents", "H",
                  "--weight", "2"])

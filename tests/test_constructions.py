@@ -261,9 +261,7 @@ def test_diagonal_gl1_current():
     gl1 = builtin_lie("gl(1)")
     P = affine(builtin_lie("sl2"), K).tensor(bc_system(1))
     im1 = EmbeddingImage(gl1, P, [P.gen("H")])
-    im1.verify()
     im2 = EmbeddingImage(gl1, P, [-(P.gen("b").no(P.gen("c")))])
-    im2.verify()
     diag = diagonal_current([im1, im2])
     assert diag.images[0] == P.gen("H") - P.gen("b").no(P.gen("c"))
     assert diag.level == im1.level + im2.level
@@ -275,8 +273,7 @@ def test_diagonal_tau_affine_sp2():
     tau = tau_embedding(1)
     P = affine(sp2, K).tensor(tau.target)
     aff = EmbeddingImage(sp2, P, [P.gen(i) for i in range(3)])
-    aff.verify()
-    assert aff.level == K
+    assert aff.level == aff.verify() == K
     tau_in = embed_image(tau, P, 1)
     diag = diagonal_current([aff, tau_in])
     assert diag.level == K - RatFunc.const(Fraction(1, 2))
@@ -301,6 +298,38 @@ def test_diagonal_sl2_coset_virasoro():
     ok, c = virasoro_test(L)
     assert ok and c == parse_ratfunc("(k^2 + 5*k)/(k^2 + 5*k + 6)")
     assert verify_commutant(P, L, diag.images)
+
+
+def test_every_construction_gives_its_embedding_a_level(monkeypatch):
+    # pushed into a tensor, the sugawara identity embedding and the empty
+    # so_1 take a given level, trusted without verify()
+    tau = tau_embedding(1)
+    P = affine(builtin_lie("sp2"), K).tensor(tau.target)
+    levels = []
+    real = EmbeddingImage.sugawara
+    monkeypatch.setattr(EmbeddingImage, "sugawara",
+                        lambda self: levels.append(self.level) or real(self))
+    monkeypatch.setattr(EmbeddingImage, "verify", lambda self: pytest.fail("verified"))
+    assert embed_image(tau, P, 1).level == RatFunc.const(Fraction(-1, 2))
+    assert sigma_embedding(1).level == RF_ONE
+    sugawara(affine(builtin_lie("sl2"), K))
+    assert levels == [K]
+
+
+def test_verify_returns_the_level_and_sets_nothing():
+    sl2 = builtin_lie("sl2")
+    P = affine(sl2, K)
+    emb = EmbeddingImage(sl2, P, [P.gen(i) for i in range(3)], RF_ONE)
+    assert emb.verify() == K
+    assert emb.level == RF_ONE
+    assert EmbeddingImage(sl2, P, emb.images).level == K
+
+
+def test_embedding_built_without_a_level_is_verified():
+    sl2 = builtin_lie("sl2")
+    P = affine(sl2, K)
+    with pytest.raises(ConstructionError, match="homomorphism fails"):
+        EmbeddingImage(sl2, P, [P.gen("H"), P.gen("Xm"), P.gen("Xp")])
 
 
 def test_diagonal_of_single_image_is_identity():

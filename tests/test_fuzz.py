@@ -238,6 +238,11 @@ def test_huge_numbers_exit_quickly(capsys):
       "--weight", "10"], 2),
     # a weight basis of 20 008 monomials, refused before it is enumerated
     (["commutant", "--algebra", "bc:7", "--currents", ":b1 c1:", "--weight", "7/2"], 2),
+    # 9 869 990 weight-8 words in 20 currents are counted, not built; 1960 at weight 3
+    (["find-relation", "--algebra", "heisenberg:20", "--target", ":" + "a1 " * 8 + ":",
+      "--generators", ";".join(f"a{i}" for i in range(1, 21))], 2),
+    (["find-relation", "--algebra", "heisenberg:20", "--target", ":a1 a1 a1:",
+      "--generators", ";".join(f"a{i}" for i in range(1, 21))], 0),
 ])
 def test_limits_are_exact(args, code, capsys):
     got, seconds = _timed_main(args)

@@ -280,12 +280,10 @@ def test_one_tokenizer_for_coefficients_and_elements():
     assert len(compiles) == 1
 
 
-def test_ratfunc_fields_are_set_only_where_a_ratfunc_is_built():
-    # the engine memo interns its coefficients, so one RatFunc object is
-    # shared by many memo entries and elements; that is sound only while no
-    # RatFunc changes after it is built: znum and zden are assigned in
-    # coefficients._ratfunc and RatFunc.__init__ and nowhere else
-    fields = {"znum", "zden"}
+def _attribute_writers(fields):
+    """The scopes in src/ (file, then enclosing classes and functions, dotted)
+    that assign or delete an attribute named in fields, directly or through
+    setattr or delattr."""
     writes = set()
 
     def visit(node, scope):
@@ -305,4 +303,19 @@ def test_ratfunc_fields_are_set_only_where_a_ratfunc_is_built():
 
     for name, tree in _trees().items():
         visit(tree, (name,))
-    assert writes == {"coefficients.py._ratfunc", "coefficients.py.RatFunc.__init__"}
+    return writes
+
+
+def test_ratfunc_fields_are_set_only_where_a_ratfunc_is_built():
+    # the engine memo interns its coefficients, so one RatFunc object is
+    # shared by many memo entries and elements; that is sound only while no
+    # RatFunc changes after it is built: znum and zden are assigned in
+    # coefficients._ratfunc and RatFunc.__init__ and nowhere else
+    assert _attribute_writers({"znum", "zden"}) == {
+        "coefficients.py._ratfunc", "coefficients.py.RatFunc.__init__"}
+
+
+def test_embedding_level_is_set_only_when_the_embedding_is_built():
+    # an EmbeddingImage has its level from construction, given or read by
+    # verify(); no caller fills it in afterwards
+    assert _attribute_writers({"level"}) == {"constructions.py.EmbeddingImage.__init__"}

@@ -181,7 +181,7 @@ def test_matrix_brackets_expand_both_orders(monkeypatch):
     for name in builtin_names():
         builtin_lie(name)
     assert {L.name for L, _, _ in built} == {
-        "sl2", "sl3", "sp2", "sp4", "so2", "so3", "gl1", "gl2", "gl3"}
+        "sl2", "sl3", "sp2", "sp4", "so1", "so2", "so3", "osp(1|2)", "gl1", "gl2", "gl3"}
 
     def mul(a, b):
         return [[sum(a[r][t] * b[t][s] for t in range(len(b))) for s in range(len(b[0]))]
@@ -189,14 +189,60 @@ def test_matrix_brackets_expand_both_orders(monkeypatch):
 
     for L, mats, kwargs in built:
         scale = kwargs.get("form_scale", 1)
+        grade = lambda r: int(r in kwargs.get("odd_rows", ()))
+        for i, mat in enumerate(mats):
+            assert {(grade(r) + grade(s)) % 2 for r, row in enumerate(mat)
+                    for s, v in enumerate(row) if v} == {L.parities[i]}
         for i, j in product(range(L.dim), repeat=2):
+            sign = -1 if L.parities[i] and L.parities[j] else 1
             ab, ba = mul(mats[i], mats[j]), mul(mats[j], mats[i])
-            comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            comm = [[x - sign * y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
             expanded = [[sum(c * mats[m][r][s] for m, c in L.bracket(i, j).items())
                          for s in range(len(comm))] for r in range(len(comm))]
             assert expanded == comm, (L.name, L.names[i], L.names[j])
-            trace = sum(ab[r][r] for r in range(len(ab)))
-            assert L.form[i][j] == scale * trace, (L.name, L.names[i], L.names[j])
+            supertrace = sum((-1) ** grade(r) * ab[r][r] for r in range(len(ab)))
+            assert L.form[i][j] == scale * supertrace, (L.name, L.names[i], L.names[j])
+
+
+# osp(1|2) as the table of brackets and form read off the affine OPE display
+# (both orders of every bracket)
+OSP12_TABLE = (
+    ("H", "Xp", "Xm", "phip", "phim"),
+    (0, 0, 0, 1, 1),
+    {
+        (0, 1): {1: 1}, (1, 0): {1: -1},
+        (0, 2): {2: -1}, (2, 0): {2: 1},
+        (1, 2): {0: 2}, (2, 1): {0: -2},
+        (0, 3): {3: Fraction(1, 2)}, (3, 0): {3: Fraction(-1, 2)},
+        (0, 4): {4: Fraction(-1, 2)}, (4, 0): {4: Fraction(1, 2)},
+        (1, 4): {3: -1}, (4, 1): {3: 1},
+        (2, 3): {4: -1}, (3, 2): {4: 1},
+        (3, 3): {1: Fraction(1, 2)},
+        (4, 4): {2: Fraction(-1, 2)},
+        (3, 4): {0: Fraction(1, 2)}, (4, 3): {0: Fraction(1, 2)},
+    },
+    (
+        (Fraction(1, 2), 0, 0, 0, 0),
+        (0, 0, 1, 0, 0),
+        (0, 1, 0, 0, 0),
+        (0, 0, 0, 0, Fraction(1, 2)),
+        (0, 0, 0, Fraction(-1, 2), 0),
+    ),
+)
+
+
+def test_osp12_supermatrices_give_the_keyed_table():
+    L = builtin_lie("osp(1|2)")
+    names, parities, brackets, form = OSP12_TABLE
+    assert (L.names, L.parities, L.brackets, L.form) == (names, parities, brackets, form)
+    assert L.same_structure(LiePresentation(names, parities, brackets, form))
+
+
+def test_matrix_mixing_parities_is_rejected():
+    # in gl(1|1) with the second row odd, E11 is even and E12 odd
+    mixed = [[1, 1], [0, 0]]
+    with pytest.raises(LieError, match="mixes even and odd"):
+        lie_from_matrices(["X"], [mixed], odd_rows={1})
 
 
 def test_builtin_catalog_validates():

@@ -88,6 +88,10 @@ def test_weight_basis_deterministic_order():
     assert list(weight_basis(P, 3).monomials) == sorted(weight_basis(P, 3).monomials)
 
 
+def _bases(P):
+    return [(g.weight, g.parity) for g in P.generators]
+
+
 def test_basis_size_counts_the_weight_basis():
     # the count that bounds a CLI solve, against the enumeration, at integer,
     # half-integer and other weights
@@ -95,10 +99,31 @@ def test_basis_size_counts_the_weight_basis():
               affine(builtin_lie("osp(1|2)"), K),
               affine(builtin_lie("sl2"), K).tensor(bc_system(1))):
         for w in [Fraction(n, 2) for n in range(9)] + [Fraction(1, 3)]:
-            assert basis_size(P, w) == len(weight_basis(P, w)), (P.name, w)
-    assert basis_size(heisenberg(61), 2) == len(weight_basis(heisenberg(61), 2)) == 1952
+            assert basis_size(_bases(P), w) == len(weight_basis(P, w)), (P.name, w)
+    assert basis_size(_bases(heisenberg(61)), 2) == len(weight_basis(heisenberg(61), 2)) == 1952
     with pytest.raises(LinearError):
-        basis_size(heisenberg(1), -1)
+        basis_size(_bases(heisenberg(1)), -1)
+
+
+def test_basis_size_counts_the_words_in_generators():
+    # the count that bounds a CLI find-relation, against enumerate_words
+    P = heisenberg(3)
+    a1, a2, a3 = (P.gen(i) for i in range(3))
+    gens = [a1, a1.no(a2), P.derivative(a3)]
+    bases = [(P.weight_of(g), P.parity_of(g)) for g in gens]
+    # the empty word of weight 0 is counted but not returned
+    for w in range(1, 7):
+        assert basis_size(bases, w) == len(enumerate_words(P, gens, w)), w
+
+
+def test_words_need_generators_of_positive_weight():
+    # a weight-0 generator such as the vacuum fits into words of any length
+    P = heisenberg(1)
+    gens = [P.vacuum(RF_ONE), P.gen(0)]
+    with pytest.raises(LinearError, match="generator 1 of 2 has weight 0"):
+        enumerate_words(P, gens, 2)
+    with pytest.raises(LinearError, match="generator 1 of 2 has weight 0"):
+        basis_size([(P.weight_of(g), P.parity_of(g)) for g in gens], 2)
 
 
 def test_charge_filter_n2():
@@ -569,7 +594,7 @@ def test_levels_and_weights_are_exact():
         lambda: report.rank_at(0.1),
         lambda: report.kernel_dim_at(0.5),
         lambda: weight_basis(P, 2.0),
-        lambda: basis_size(P, 2.0),
+        lambda: basis_size(_bases(P), 2.0),
     ):
         with pytest.raises(TypeError):
             call()
@@ -948,7 +973,7 @@ def test_default_solve_keeps_the_full_basis_without_a_diagonal_current(case, ker
     # gives a charge to filter by
     P, actions, weight = case()
     report = commutant_basis(P, actions, weight)
-    assert len(report.basis) == basis_size(P, weight)
+    assert len(report.basis) == basis_size(_bases(P), weight)
     assert report.kernel_dim == kernel_dim
 
 
